@@ -56,6 +56,7 @@ from ..telemetry import Counters, MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device
+from .pipeline import check_compute
 from .shm import (
     SharedArena,
     SharedDataset,
@@ -532,8 +533,7 @@ class MultiprocessExecutor:
         start_method: str = DEFAULT_START_METHOD,
         result_timeout: float = 120.0,
     ) -> None:
-        if compute not in ("fused", "legacy"):
-            raise ValueError(f"unknown compute mode {compute!r}")
+        check_compute(compute)
         if prefetch_depth < 1:
             raise ValueError("multiprocess prepare requires prefetch_depth >= 1")
         self.store = store

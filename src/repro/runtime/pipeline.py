@@ -47,12 +47,19 @@ from .stages import (
 )
 from .workers import estimate_max_rows
 
-__all__ = ["EpochStats", "SerialExecutor", "PipelinedExecutor", "StagedExecutor"]
+__all__ = [
+    "EpochStats",
+    "SerialExecutor",
+    "PipelinedExecutor",
+    "StagedExecutor",
+    "check_compute",
+]
 
 TrainFn = Callable[[DeviceBatch], float]
 
 
-def _check_compute(compute: str) -> str:
+def check_compute(compute: str) -> str:
+    """Validate a kernel-generation name (``"fused"`` or ``"legacy"``)."""
     if compute not in ("fused", "legacy"):
         raise ValueError(f"unknown compute mode {compute!r}")
     return compute
@@ -83,7 +90,7 @@ class SerialExecutor:
         self.device = device
         self.tracer = tracer or Tracer(enabled=False)
         self.seed = seed
-        self.compute = _check_compute(compute)
+        self.compute = check_compute(compute)
         self.probes = probes
         self._pipeline = StagedPipeline(
             [
@@ -127,7 +134,7 @@ class _PooledExecutor:
     ) -> None:
         self.store = store
         self.device = device
-        self.compute = _check_compute(compute)
+        self.compute = check_compute(compute)
         self.tracer = tracer or Tracer(enabled=False)
         #: one shared sink for sampler, slicer and pinned-pool telemetry
         self.counters = counters if counters is not None else Counters()

@@ -166,10 +166,12 @@ class MemmapFeatureStore:
     that opens the same slab and are never copied on write.
 
     For quantized slabs the gather is two-phase but still intermediate-
-    free on the float side: uint8 code rows land in a small persistent
-    scratch, then the fused multiply/add of
+    free on the float side: uint8 code rows land in a per-call buffer,
+    then the fused multiply/add of
     :func:`~repro.slicing.quantize.dequantize_rows` writes the
-    reconstruction directly into ``out`` (the pinned slot).
+    reconstruction directly into ``out`` (the pinned slot).  Nothing
+    mutable is shared between calls, so concurrent prepare workers may
+    slice one store without a lock.
     """
 
     def __init__(self, path, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -208,7 +210,6 @@ class MemmapFeatureStore:
             # store's half-precision convention (optimization (iii)).
             self._dtype = np.dtype(np.float16)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._code_scratch = np.empty((0, self._num_features), dtype=np.uint8)
 
     # -- FeatureStore contract -----------------------------------------
     @property
@@ -261,13 +262,7 @@ class MemmapFeatureStore:
             else:
                 out = np.asarray(self._features[n_id])
         else:
-            rows = len(n_id)
-            if self._code_scratch.shape[0] < rows:
-                self._code_scratch = np.empty(
-                    (rows, self._num_features), dtype=np.uint8
-                )
-            codes = self._code_scratch[:rows]
-            np.take(self._codes, n_id, axis=0, out=codes, mode="clip")
+            codes = np.take(self._codes, n_id, axis=0, mode="clip")
             out = dequantize_rows(codes, self.params, out=out, dtype=self._dtype)
         self.metrics.counter("mmap_wait_seconds").inc(perf_counter() - start)
         self.metrics.counter("mmap_rows_read").inc(len(n_id))
@@ -309,15 +304,12 @@ class MemmapFeatureStore:
         return {"kind": "memmap", "path": str(self.path)}
 
     def resident_bytes(self) -> int:
-        """Process-heap bytes held by this store (scratch + quant params).
+        """Process-heap bytes held by this store (the quant params).
 
         The slab itself is file-backed and excluded — that is the point
         of the cold tier.
         """
-        total = self._code_scratch.nbytes
-        if self.params is not None:
-            total += self.params.nbytes()
-        return total
+        return self.params.nbytes() if self.params is not None else 0
 
 
 class TieredFeatureStore:
@@ -357,9 +349,6 @@ class TieredFeatureStore:
         )
         if len(hot_ids):
             cold.slice_features(hot_ids, out=self.hot_rows)
-        self._miss_scratch = np.empty(
-            (0, cold.num_features), dtype=cold.feature_dtype
-        )
 
     # -- FeatureStore contract -----------------------------------------
     @property
@@ -412,14 +401,8 @@ class TieredFeatureStore:
             if len(hit_idx):
                 out[hit_idx] = self.hot_rows[hot_rows[hit_idx]]
             if len(miss_idx):
-                if self._miss_scratch.shape[0] < len(miss_idx):
-                    self._miss_scratch = np.empty(
-                        (len(miss_idx), self.num_features),
-                        dtype=self.feature_dtype,
-                    )
-                scratch = self._miss_scratch[: len(miss_idx)]
-                self.cold.slice_features(n_id[miss_idx], out=scratch)
-                out[miss_idx] = scratch
+                # Per-call gather buffer: concurrent slices share no scratch.
+                out[miss_idx] = self.cold.slice_features(n_id[miss_idx])
         row_nbytes = self.row_bytes()
         self.metrics.counter("feature_tier_rows", tier="hot").inc(len(hit_idx))
         self.metrics.counter("feature_tier_rows", tier="cold").inc(len(miss_idx))
@@ -458,11 +441,10 @@ class TieredFeatureStore:
         )
 
     def resident_bytes(self) -> int:
-        """RAM held by the hierarchy: hot rows + row map + cold scratch."""
+        """RAM held by the hierarchy: hot rows + row map + cold params."""
         return (
             self.hot_rows.nbytes
             + self._hot_row_of.nbytes
-            + self._miss_scratch.nbytes
             + self.cold.resident_bytes()
         )
 

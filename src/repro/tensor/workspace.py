@@ -21,10 +21,11 @@ of each step::
         out = model(x, mfg.adjs)
         loss.backward()
 
-Outside any scope (inference, DDP, ad-hoc tensor math, the legacy twin
-path) kernels fall back to plain ``numpy`` allocation and the byte-exact
-legacy formulations — the same twin pattern as ``use_arena=False`` in the
-sampler.
+Sampled and layer-wise inference enter ``compute_scope`` too (without a
+workspace: their outputs outlive the forward).  Outside any scope (DDP,
+ad-hoc tensor math, the legacy twin path) kernels fall back to plain
+``numpy`` allocation and the byte-exact legacy formulations — the same
+twin pattern as ``use_arena=False`` in the sampler.
 
 Pooled buffers are only handed to *step-transient* consumers (fused-kernel
 outputs and backward scratch).  Nothing that outlives the step may hold

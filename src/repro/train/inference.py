@@ -13,6 +13,11 @@ Figure 3 can compare them:
   all nodes in host memory. Also reports that memory footprint, the cost
   the paper's Section 5 highlights (dense architectures like SAGE-RI must
   keep *all* layers).
+
+Both run on the same kernels as training: with the default
+``compute="fused"`` every batch (or full-neighbourhood block) gets its
+:class:`~repro.tensor.plan.AggregationPlan` in the slice stage and every
+conv takes the plan kernels, byte-identical to ``compute="legacy"``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
 from ..runtime.device import Device, DeviceBatch
 from ..runtime.pinned import PinnedBufferPool
+from ..runtime.pipeline import check_compute
 from ..runtime.stages import (
     ComputeStage,
     PrepareStage,
@@ -40,7 +46,7 @@ from ..runtime.workers import estimate_max_rows
 from ..sampling.base import BatchIterator, NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
-from ..tensor import Tensor, functional as F, no_grad
+from ..tensor import Tensor, compute_scope, functional as F, is_fused_compute, no_grad
 from ..telemetry import Counters, MetricsRegistry
 
 __all__ = ["sampled_inference", "layerwise_full_inference", "LayerwiseResult"]
@@ -63,6 +69,7 @@ def sampled_inference(
     tracer: Optional[Tracer] = None,
     counters: Optional[Counters] = None,
     metrics: Optional[MetricsRegistry] = None,
+    compute: str = "fused",
 ) -> np.ndarray:
     """Predict log-probabilities for ``nodes`` with one-shot sampling.
 
@@ -82,9 +89,18 @@ def sampled_inference(
     Results are byte-identical across executors: batch seeds depend only
     on the batch's node offset (``[seed, cursor]``) and completed batches
     are delivered in index order.
+
+    ``compute`` selects the kernel generation exactly as for training:
+    ``"fused"`` (default) builds each batch's aggregation plans in the
+    prepare/slice stage and runs the forward under
+    ``compute_scope("fused")``, so every conv takes the plan kernels;
+    ``"legacy"`` builds no plans and keeps the per-call kernels.  The two
+    are byte-identical twins, so the choice never changes a prediction.
     """
     if executor not in ("serial", "pipelined", "staged"):
         raise ValueError(f"unknown executor {executor!r}")
+    check_compute(compute)
+    build_plans = compute == "fused"
     model.eval()
     nodes = np.asarray(nodes, dtype=np.int64)
     if hasattr(features, "slice_features"):
@@ -120,11 +136,19 @@ def sampled_inference(
     stages: list = []
     if executor == "pipelined":
         stages.append(
-            PrepareStage(factory, store, pinned_pool=pinned_pool, workers=num_workers)
+            PrepareStage(
+                factory,
+                store,
+                pinned_pool=pinned_pool,
+                workers=num_workers,
+                build_plans=build_plans,
+            )
         )
     else:
         stages.append(SampleStage(factory, workers=num_workers))
-        stages.append(SliceStage(store, pinned_pool=pinned_pool))
+        stages.append(
+            SliceStage(store, pinned_pool=pinned_pool, build_plans=build_plans)
+        )
     if device is not None:
         stages.append(TransferStage(device))
     stages.append(ComputeStage(name="infer"))
@@ -135,7 +159,8 @@ def sampled_inference(
         else:
             xs, mfg = payload.xs, payload.mfg
         x = Tensor(np.asarray(xs, dtype=np.float32))
-        return model(x, mfg.adjs).data
+        with compute_scope(compute):
+            return model(x, mfg.adjs).data
 
     out: Optional[np.ndarray] = None
 
@@ -188,6 +213,11 @@ def _propagate_full(
     blocks, so this is the conventional layer-wise inference kernel.  Runs
     on the depth-0 staged pipeline like every other execution path (full
     fanout draws nothing from the RNG, so seeding is irrelevant here).
+
+    Under ``compute_scope("fused")`` the slice stage builds each block's
+    aggregation plan and ``apply_layer`` receives the plan-carrying
+    :class:`~repro.sampling.mfg.Adj`, so full inference runs on the same
+    plan kernels as training and sampled inference.
     """
     store = FeatureStore(h_in, half_precision=None)
     h_out: Optional[np.ndarray] = None
@@ -196,7 +226,7 @@ def _propagate_full(
         adj = sliced.mfg.adjs[0]
         x_src = Tensor(np.asarray(sliced.xs, dtype=np.float32))
         x_dst = x_src[: adj.size[1]]
-        return apply_layer((x_src, x_dst), adj.edge_index).data
+        return apply_layer((x_src, x_dst), adj).data
 
     def on_result(env) -> None:
         nonlocal h_out
@@ -208,7 +238,7 @@ def _propagate_full(
     pipeline = StagedPipeline(
         [
             SampleStage(lambda: FastNeighborSampler(graph, [None])),
-            SliceStage(store),
+            SliceStage(store, build_plans=is_fused_compute()),
             ComputeStage(name="infer"),
         ],
         prefetch_depth=0,
@@ -226,6 +256,7 @@ def layerwise_full_inference(
     features: np.ndarray,
     graph: CSRGraph,
     batch_size: int = 4096,
+    compute: str = "fused",
 ) -> LayerwiseResult:
     """Full-neighborhood, layer-by-layer inference for every node.
 
@@ -233,9 +264,14 @@ def layerwise_full_inference(
     layer buffers; GIN adds its prediction head; SAGE-RI's dense
     (Inception) connections force *all* layer outputs to stay resident,
     multiplying host memory — the trade-off Section 5 calls out.
+
+    ``compute`` selects the kernel generation as in
+    :func:`sampled_inference`: ``"fused"`` builds a plan per block and
+    runs every layer on the plan kernels, ``"legacy"`` keeps the per-call
+    kernels; the log-probabilities are byte-identical either way.
     """
     model.eval()
-    with no_grad():
+    with no_grad(), compute_scope(check_compute(compute)):
         if isinstance(model, (GraphSAGE, GAT)):
             return _layerwise_stack(model, features, graph, batch_size)
         if isinstance(model, GIN):
@@ -257,8 +293,8 @@ def _layerwise_stack(
     for i in range(model.num_layers):
         last = i == model.num_layers - 1
 
-        def apply_layer(x_pair, edge_index, _conv=model.convs[i], _last=last):
-            out = _conv(x_pair, edge_index)
+        def apply_layer(x_pair, adj, _conv=model.convs[i], _last=last):
+            out = _conv(x_pair, adj)
             return out if _last else F.relu(out)
 
         h_next = _propagate_full(apply_layer, h, graph, batch_size)
@@ -274,8 +310,8 @@ def _layerwise_gin(
     h = features
     peak = 0
     for i in range(model.num_layers):
-        def apply_layer(x_pair, edge_index, _conv=model.convs[i]):
-            return _conv(x_pair, edge_index)
+        def apply_layer(x_pair, adj, _conv=model.convs[i]):
+            return _conv(x_pair, adj)
 
         h_next = _propagate_full(apply_layer, h, graph, batch_size)
         peak = max(peak, h.nbytes + h_next.nbytes)
@@ -292,8 +328,8 @@ def _layerwise_sage_ri(
     collect: list[np.ndarray] = [x]  # dense connections: all layers stay live
     h = x
     for i in range(model.num_layers):
-        def apply_layer(x_pair, edge_index, _i=i):
-            out = model.convs[_i](x_pair, edge_index)
+        def apply_layer(x_pair, adj, _i=i):
+            out = model.convs[_i](x_pair, adj)
             out = model.bns[_i](out)
             return F.leaky_relu(out)
 

@@ -22,6 +22,7 @@ from ..runtime.pipeline import (
     PipelinedExecutor,
     SerialExecutor,
     StagedExecutor,
+    check_compute,
 )
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
@@ -80,8 +81,9 @@ class Trainer:
         ``"fused"`` (default) — per-batch aggregation plans built in the
         prepare stage, fused gather→reduce and linear kernels, and a
         workspace buffer pool recycled across batches; ``"legacy"`` — the
-        original kernels.  Byte-identical training results either way (the
-        twin-kernel contract; pinned by the determinism tests).
+        original kernels.  :meth:`predict`/:meth:`evaluate` run on the same
+        generation.  Byte-identical training and inference results either
+        way (the twin-kernel contract; pinned by the determinism tests).
     feature_tier:
         ``"ram"`` (default) — the in-RAM fp16 :class:`FeatureStore`;
         ``"mmap"`` — features live in an on-disk slab opened through a
@@ -125,8 +127,7 @@ class Trainer:
             raise ValueError(f"unknown sampler {sampler!r}")
         if infer_executor not in ("serial", "pipelined", "staged"):
             raise ValueError(f"unknown infer_executor {infer_executor!r}")
-        if compute not in ("fused", "legacy"):
-            raise ValueError(f"unknown compute mode {compute!r}")
+        check_compute(compute)
         if feature_tier not in ("ram", "mmap", "mmap-quant"):
             raise ValueError(f"unknown feature tier {feature_tier!r}")
         self.compute = compute
@@ -333,7 +334,8 @@ class Trainer:
         fanouts: Optional[Sequence[Optional[int]]] = None,
         seed: int = 1234,
     ) -> np.ndarray:
-        """Sampled-inference log-probabilities for ``nodes``."""
+        """Sampled-inference log-probabilities for ``nodes``, computed on
+        the trainer's ``compute`` kernel generation."""
         fanouts = list(fanouts) if fanouts is not None else list(self.config.infer_fanouts)
         overlapped = self.infer_executor != "serial"
         return sampled_inference(
@@ -352,6 +354,7 @@ class Trainer:
             # keeps the historical host-only path.
             device=self.device if overlapped else None,
             num_workers=self.num_workers,
+            compute=self.compute,
         )
 
     def evaluate(

@@ -3,8 +3,10 @@
 The fused aggregation/linear kernels, per-batch plans and the workspace
 buffer pool are performance features only — switching ``compute`` between
 ``"fused"`` and ``"legacy"`` must not change a single bit of any training
-result.  One epoch per model architecture, asserting byte-identical
-losses, gradients and final parameters (``array_equal``, not allclose).
+or inference result.  One epoch per model architecture, asserting
+byte-identical losses, gradients and final parameters (``array_equal``,
+not allclose); then sampled inference under every inference executor and
+layer-wise full inference, asserting byte-identical log-probabilities.
 """
 
 import numpy as np
@@ -12,7 +14,10 @@ import pytest
 
 from repro.datasets import generate_dataset
 from repro.train.config import ExperimentConfig
+from repro.train.inference import layerwise_full_inference
 from repro.train.loop import Trainer
+
+MODELS = ["sage", "gat", "gin", "sage-ri"]
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +25,8 @@ def dataset():
     return generate_dataset("arxiv", scale=0.1, seed=0)
 
 
-def _run_epoch(dataset, model, compute, executor):
-    config = ExperimentConfig(
+def _config(model):
+    return ExperimentConfig(
         dataset="arxiv",
         model=model,
         hidden_channels=32,
@@ -31,6 +36,10 @@ def _run_epoch(dataset, model, compute, executor):
         batch_size=64,
         epochs=1,
     )
+
+
+def _run_epoch(dataset, model, compute, executor):
+    config = _config(model)
     trainer = Trainer(dataset, config, executor=executor, compute=compute, seed=0)
     stats = trainer.train_epoch(0)
     params = {
@@ -46,7 +55,7 @@ def _run_epoch(dataset, model, compute, executor):
     return list(stats.losses), grads, params, workspace
 
 
-@pytest.mark.parametrize("model", ["sage", "gat", "gin", "sage-ri"])
+@pytest.mark.parametrize("model", MODELS)
 def test_fused_pooled_epoch_byte_identical_to_legacy(dataset, model):
     losses_l, grads_l, params_l, ws_l = _run_epoch(dataset, model, "legacy", "pipelined")
     losses_f, grads_f, params_f, ws_f = _run_epoch(dataset, model, "fused", "pipelined")
@@ -73,3 +82,41 @@ def test_serial_matches_pipelined_under_fused(dataset):
     assert losses_serial == losses_pipe
     for name in params_serial:
         np.testing.assert_array_equal(params_serial[name], params_pipe[name])
+
+
+def _predict(dataset, model, compute, infer_executor):
+    trainer = Trainer(
+        dataset,
+        _config(model),
+        executor="serial",
+        infer_executor=infer_executor,
+        compute=compute,
+        seed=0,
+    )
+    try:
+        return trainer.predict(dataset.split.test)
+    finally:
+        trainer.shutdown()
+
+
+@pytest.mark.parametrize("infer_executor", ["serial", "pipelined", "staged"])
+@pytest.mark.parametrize("model", MODELS)
+def test_fused_inference_byte_identical_to_legacy(dataset, model, infer_executor):
+    legacy = _predict(dataset, model, "legacy", infer_executor)
+    fused = _predict(dataset, model, "fused", infer_executor)
+    np.testing.assert_array_equal(fused, legacy)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_fused_layerwise_inference_byte_identical_to_legacy(dataset, model):
+    """``compute="legacy"`` is the pre-plan layer-wise path (no plans, the
+    per-call kernels); the fused path must reproduce it bit for bit."""
+    trainer = Trainer(dataset, _config(model), executor="serial", seed=0)
+    trainer.shutdown()
+    results = {
+        compute: layerwise_full_inference(
+            trainer.model, dataset.features, dataset.graph, compute=compute
+        ).log_probs
+        for compute in ("legacy", "fused")
+    }
+    np.testing.assert_array_equal(results["fused"], results["legacy"])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
+from repro.runtime import stages
+from repro.telemetry import MetricsRegistry
 from repro.train import layerwise_full_inference, sampled_inference
 from repro.train.inference import LayerwiseResult
 
@@ -73,6 +75,57 @@ class TestSampledInference:
         )
         full = layerwise_full_inference(model, ds.features, ds.graph)
         np.testing.assert_allclose(sampled, full.select(nodes), rtol=1e-3, atol=1e-4)
+
+
+class TestPlanPathGuard:
+    """Inference must not silently fall back to the legacy kernels: the
+    default compute builds aggregation plans, ``compute="legacy"`` none."""
+
+    @pytest.mark.parametrize("executor", ["serial", "pipelined", "staged"])
+    def test_default_compute_builds_plans(self, trained_setup, executor):
+        ds, model = trained_setup
+        metrics = MetricsRegistry()
+        sampled_inference(
+            model, ds.features, ds.graph, ds.split.test[:64], [5, 5],
+            batch_size=32, executor=executor, metrics=metrics,
+        )
+        assert metrics.value("aggregation_plans_built") > 0
+        plan_build = metrics.get("stage_seconds", stage="plan_build")
+        assert plan_build is not None and plan_build.count == 2  # one per batch
+
+    def test_legacy_compute_builds_none(self, trained_setup):
+        ds, model = trained_setup
+        metrics = MetricsRegistry()
+        sampled_inference(
+            model, ds.features, ds.graph, ds.split.test[:64], [5, 5],
+            batch_size=32, metrics=metrics, compute="legacy",
+        )
+        assert metrics.value("aggregation_plans_built") == 0
+        assert metrics.get("stage_seconds", stage="plan_build") is None
+
+    def test_unknown_compute_rejected(self, trained_setup):
+        ds, model = trained_setup
+        with pytest.raises(ValueError, match="compute mode"):
+            sampled_inference(
+                model, ds.features, ds.graph, ds.split.test[:8], [5, 5],
+                compute="fast",
+            )
+
+    @pytest.mark.parametrize("compute, expected", [("fused", True), ("legacy", False)])
+    def test_layerwise_builds_plans_only_when_fused(
+        self, trained_setup, monkeypatch, compute, expected
+    ):
+        ds, model = trained_setup
+        built = []
+        build = stages.build_aggregation_plans
+
+        def counting(mfg, metrics=None):
+            built.append(mfg)
+            return build(mfg, metrics=metrics)
+
+        monkeypatch.setattr(stages, "build_aggregation_plans", counting)
+        layerwise_full_inference(model, ds.features, ds.graph, compute=compute)
+        assert bool(built) is expected
 
 
 class TestLayerwiseFullInference:
