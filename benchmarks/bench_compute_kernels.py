@@ -3,7 +3,8 @@
 Three row groups per dataset, validated by ``check_bench_json.py``:
 
 - ``aggregation`` — one sampled bottom MFG layer's gather→segment-sum
-  forward, through three kernel generations: ``legacy`` (per-call setup,
+  forward, through three kernel generations: ``legacy`` (the per-call
+  reference kernel of ``benchmarks/reference.py``: per-call setup,
   materialized ``(E, F)`` messages), ``plan_reuse`` (the batch's prebuilt
   :class:`AggregationPlan` replaces per-call setup, messages still
   materialized) and ``fused`` (the plan's cached CSR operator collapses
@@ -17,7 +18,10 @@ Three row groups per dataset, validated by ``check_bench_json.py``:
   rather than in a synthetic single-threaded alloc microbench;
 - ``epoch`` — full training epochs on the paper's products-scale
   configuration (fanouts 15/10/5, batch 256, hidden 64) through the
-  pipelined executor with ``compute="legacy"`` vs ``compute="fused"``.
+  pipelined executor, with the model running on the reference ops
+  (``legacy``: ``reference.legacy_compute()``, unfused gather→reduce and
+  linear chains) vs the production ops (``fused``).  Both executors build
+  aggregation plans in their prepare stage; only the compute differs.
   The two variants must produce **byte-identical** losses — the bench
   asserts it — so the epoch speedup is a pure systems win.
 
@@ -38,6 +42,7 @@ import json
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +50,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from common import BENCH_SCALES  # noqa: E402
+from reference import legacy_compute, segment_sum  # noqa: E402
 
 from repro.datasets import get_dataset  # noqa: E402
 from repro.models import build_model  # noqa: E402
@@ -55,7 +61,6 @@ from repro.slicing import FeatureStore  # noqa: E402
 from repro.tensor import (  # noqa: E402
     Tensor,
     Workspace,
-    compute_scope,
     functional as F,
     kernels,
     workspace_scope,
@@ -116,7 +121,7 @@ def _time_aggregation(dataset, variant: str, mode: dict) -> tuple[float, float, 
     inner = mode["inner"]
 
     def legacy():
-        kernels.segment_sum(x[src], dst, n_dst)
+        segment_sum(x[src], dst, n_dst)
 
     def plan_reuse():
         kernels.plan_segment_sum(x[src], plan)
@@ -137,10 +142,10 @@ def _time_aggregation(dataset, variant: str, mode: dict) -> tuple[float, float, 
 
 
 # ----------------------------------------------------------------------
-# epoch: full training epochs (legacy vs fused compute) — also reused by
-# the alloc group (fused compute, pool off vs on)
+# epoch: full training epochs (reference vs production ops) — also reused
+# by the alloc group (production ops, pool off vs on)
 # ----------------------------------------------------------------------
-def _make_train_fn(dataset, compute: str, workspace):
+def _make_train_fn(dataset, use_reference: bool, workspace):
     model = build_model(
         "sage",
         dataset.num_features,
@@ -154,7 +159,8 @@ def _make_train_fn(dataset, compute: str, workspace):
     def fn(batch):
         model.train()
         optimizer.zero_grad()
-        with compute_scope(compute), workspace_scope(workspace):
+        ops = legacy_compute() if use_reference else nullcontext()
+        with ops, workspace_scope(workspace):
             out = model(Tensor(batch.xs.data), batch.mfg.adjs)
             loss = F.nll_loss(out, batch.ys.data)
             loss.backward()
@@ -164,11 +170,11 @@ def _make_train_fn(dataset, compute: str, workspace):
     return fn
 
 
-#: epoch configurations: key -> (compute generation, workspace pool on?)
+#: epoch configurations: key -> (reference ops?, workspace pool on?)
 EPOCH_CONFIGS = {
-    "legacy": ("legacy", False),
-    "fused_nopool": ("fused", False),
-    "fused_pool": ("fused", True),
+    "legacy": (True, False),
+    "fused_nopool": (False, False),
+    "fused_pool": (False, True),
 }
 
 
@@ -180,12 +186,12 @@ def _time_epochs(dataset, store, mode: dict) -> dict[str, tuple[float, float]]:
     the ratios instead of biasing one variant.  Each rep rebuilds the
     model/optimizer (identical work per epoch); each configuration's
     executor — and, when enabled, its workspace pool — persists across
-    reps like a real multi-epoch run.  Also asserts the twin contract:
-    every configuration's loss trajectory is byte-identical.
+    reps like a real multi-epoch run.  Also asserts byte identity: every
+    configuration's loss trajectory is the same.
     """
     batches = _train_batches(dataset, mode["num_batches"])
     devices, runs = [], {}
-    for key, (compute, use_pool) in EPOCH_CONFIGS.items():
+    for key, (use_reference, use_pool) in EPOCH_CONFIGS.items():
         device = Device(transfer_bandwidth=TRANSFER_BANDWIDTH)
         devices.append(device)
         executor = PipelinedExecutor(
@@ -194,16 +200,15 @@ def _time_epochs(dataset, store, mode: dict) -> dict[str, tuple[float, float]]:
             device,
             num_workers=NUM_WORKERS,
             max_batch_hint=BATCH_SIZE,
-            compute=compute,
             seed=0,
         )
         workspace = Workspace(metrics=executor.metrics) if use_pool else None
-        runs[key] = (executor, compute, workspace, [], [])
+        runs[key] = (executor, use_reference, workspace, [], [])
     try:
         for rep in range(mode["reps"] + 1):  # rep 0 is the warm-up
-            for key, (executor, compute, workspace, times, losses) in runs.items():
+            for executor, use_reference, workspace, times, losses in runs.values():
                 stats = executor.run_epoch(
-                    batches, _make_train_fn(dataset, compute, workspace)
+                    batches, _make_train_fn(dataset, use_reference, workspace)
                 )
                 if rep > 0:
                     times.append(stats.epoch_time)

@@ -8,11 +8,12 @@ variants, reporting throughput relative to the PyG-like baseline variant
 
 Expected shape on this substrate: selection strategy dominates (the
 vectorizable random-keys method far outruns per-element scans), fusing
-never hurts, and the fully vectorized ``FastNeighborSampler`` (the
-production implementation of the winning choices) clears the paper's ~2.5x
-bar over the baseline. The paper's C++-specific findings (swiss-table map
-2x, array set +17%) do not transfer verbatim to CPython, where dict/set are
-already C-optimized — see EXPERIMENTS.md for the discussion.
+never hurts, and the hop kernel ``FastNeighborSampler`` runs in production
+(``expand_frontier_arena``, the arena-allocated implementation of the
+winning choices) clears the paper's ~2.5x bar over the baseline. The
+paper's C++-specific findings (swiss-table map 2x, array set +17%) do not
+transfer verbatim to CPython, where dict/set are already C-optimized — see
+EXPERIMENTS.md for the discussion.
 """
 
 import time
@@ -25,10 +26,11 @@ from repro.sampling import (
     WINNING_VARIANT,
     FastNeighborSampler,
     PyGNeighborSampler,
+    SamplerArena,
     all_variants,
+    expand_frontier_arena,
     expand_hop,
 )
-from repro.sampling.fast_sampler import expand_frontier_vectorized
 from repro.telemetry import format_bar_chart, format_table
 
 from common import emit
@@ -80,16 +82,18 @@ def sweep(bench_datasets):
     for variant in all_variants():
         elapsed = time_variant(dataset.graph, trace, variant)
         results.append((variant, baseline_time / elapsed))
-    # the production vectorized sampler on the same trace (min of 3)
+    # the production hop kernel on the same trace (min of 3); its arena is
+    # persistent, as in the sampler, so buffers are warm after the first rep
     rng = np.random.default_rng(42)
+    arena = SamplerArena()
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         for frontier, fanout in trace:
-            expand_frontier_vectorized(dataset.graph, frontier, fanout, rng)
+            expand_frontier_arena(dataset.graph, frontier, fanout, rng, arena)
         best = min(best, time.perf_counter() - start)
-    vectorized_speedup = baseline_time / best
-    return results, vectorized_speedup
+    production_speedup = baseline_time / best
+    return results, production_speedup
 
 
 def test_fig2_report(benchmark, sweep):
@@ -97,7 +101,7 @@ def test_fig2_report(benchmark, sweep):
 
 
 def _emit_report(sweep):
-    results, vectorized_speedup = sweep
+    results, production_speedup = sweep
     ordered = sorted(results, key=lambda item: item[1], reverse=True)
     top = [
         {"variant": v.label(), "speedup_vs_baseline": round(s, 2)}
@@ -136,7 +140,8 @@ def _emit_report(sweep):
             format_table(knob_rows, title="Mean speedup per design knob"),
             f"Paper's winning configuration ({WINNING_VARIANT.label()}): "
             f"{winner_speedup:.2f}x",
-            f"Production vectorized FastNeighborSampler: {vectorized_speedup:.2f}x "
+            f"Production FastNeighborSampler hop (expand_frontier_arena): "
+            f"{production_speedup:.2f}x "
             "(the paper's C++ sampler achieved 2.5x, Table 2)",
             chart,
         ]
@@ -147,8 +152,8 @@ def _emit_report(sweep):
     # the paper's C++ winners - flat map, array set - are near-ties under an
     # interpreter where dict/set are C-optimized; what transfers is that
     # per-edge data-structure choices dominate sampler cost):
-    # (a) the production vectorized sampler clears ~2x like the paper's.
-    assert vectorized_speedup > 1.7, vectorized_speedup
+    # (a) the production sampler hop clears ~2x like the paper's.
+    assert production_speedup > 1.7, production_speedup
     # (b) selection strategy dominates: vectorizable random-keys far above
     #     the per-element reservoir scan.
     by_selection = {}

@@ -1,12 +1,12 @@
-"""Batch-preparation hot-path benchmark: sampler and slicing twins.
+"""Batch-preparation hot-path benchmark: sampler and slicing paths.
 
 Times the three sampler implementations that share one RNG contract —
 
 - ``reference``: :class:`PyGNeighborSampler`, per-node dict/set loops;
-- ``fast``: :class:`FastNeighborSampler(use_arena=False)`, the pre-arena
-  vectorized kernels (``np.unique`` dedup + all-edges lexsort, fresh
-  allocations every hop);
-- ``arena``: :class:`FastNeighborSampler(use_arena=True)`, the
+- ``fast``: :class:`reference.LegacyFastSampler`, the pre-arena vectorized
+  kernels (``np.unique`` dedup + all-edges lexsort, fresh allocations
+  every hop), kept in ``benchmarks/reference.py``;
+- ``arena``: :class:`FastNeighborSampler`, the production
   arena-allocated O(D) path (persistent scratch buffers, first-occurrence
   dedup via the ID map, split under/over-degree fanout selection) —
 
@@ -39,6 +39,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from common import BENCH_SCALES  # noqa: E402
+from reference import LegacyFastSampler  # noqa: E402
 
 from repro.datasets import get_dataset  # noqa: E402
 from repro.runtime.pinned import PinnedBufferPool  # noqa: E402
@@ -143,12 +144,8 @@ def run_bench(mode: dict, datasets: dict) -> dict:
         batches = _make_batches(dataset, mode["num_batches"], mode["batch_size"])
         sampler_makers = {
             "reference": lambda d=dataset: PyGNeighborSampler(d.graph, FANOUTS),
-            "fast": lambda d=dataset: FastNeighborSampler(
-                d.graph, FANOUTS, use_arena=False
-            ),
-            "arena": lambda d=dataset: FastNeighborSampler(
-                d.graph, FANOUTS, use_arena=True
-            ),
+            "fast": lambda d=dataset: LegacyFastSampler(d.graph, FANOUTS),
+            "arena": lambda d=dataset: FastNeighborSampler(d.graph, FANOUTS),
         }
         for variant, maker in sampler_makers.items():
             median, p90, edges = _time_sampler(maker, batches, mode["reps"])

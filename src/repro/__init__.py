@@ -17,7 +17,7 @@ Subpackages
 - ``repro.models``    GraphSAGE / GAT / GIN / GraphSAGE-RI
 - ``repro.train``     trainer, sampled & layer-wise inference, DDP
 - ``repro.perfmodel`` calibrated performance simulator (cluster-scale results)
-- ``repro.telemetry`` timers and table rendering
+- ``repro.telemetry`` spans, metrics, run reports and table rendering
 """
 
 __version__ = "0.1.0"

@@ -92,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the on-disk feature slab (default: a "
         "temporary directory removed on exit)",
     )
-    train.add_argument(
-        "--compute",
-        choices=["fused", "legacy"],
-        default="fused",
-        help="kernel generation: fused aggregation plans + workspace pool, "
-        "or the legacy per-call kernels (byte-identical results)",
-    )
     train.add_argument("--fanouts", type=int, nargs="+", default=None)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument(
@@ -202,7 +195,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         tracer=tracer,
         infer_executor=args.infer_executor,
-        compute=args.compute,
         probes=probes,
         prepare_workers=args.prepare_workers,
         mp_start_method=args.mp_start_method,

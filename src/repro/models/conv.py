@@ -7,10 +7,11 @@ paper's appendix listings::
 
 where ``edge_index`` is local ``(2, E)`` with messages flowing
 ``edge_index[0] -> edge_index[1]`` and the target nodes are a prefix of the
-source set.  ``edge_index`` may also be a :class:`~repro.sampling.mfg.Adj`
-carrying a precomputed :class:`~repro.tensor.plan.AggregationPlan`; layers
-then route through the plan-based / fused kernels (bitwise-identical, no
-per-call argsort, no ``(E, F)`` message temporaries for sum/mean).
+source set.  ``edge_index`` may also be a :class:`~repro.sampling.mfg.Adj`.
+Every layer aggregates through an :class:`~repro.tensor.plan.AggregationPlan`:
+the Adj's plan (built in the prepare stage, or on first use and then
+memoized on the Adj), or a fresh one for a raw ``(2, E)`` array.  Sum and
+mean aggregation never materialize the ``(E, F)`` message array.
 """
 
 from __future__ import annotations
@@ -22,25 +23,29 @@ import numpy as np
 
 from ..nn.layers import Linear
 from ..nn.module import Module
-from ..tensor import Tensor, functional as F, init
+from ..tensor import AggregationPlan, Tensor, functional as F, init
 
 __all__ = ["SAGEConv", "GATConv", "GINConv"]
 
 
 def _unpack(x_pair, edge_index):
+    """``(x_src, x_dst, plan)`` for one conv call."""
     x_src, x_dst = x_pair
     n_dst = x_dst.shape[0]
-    # Accept either a raw (2, E) array or an Adj carrying a prebuilt plan.
-    plan = getattr(edge_index, "plan", None)
-    edge_index = getattr(edge_index, "edge_index", edge_index)
+    adj = edge_index if hasattr(edge_index, "build_plan") else None
+    edge_index = np.asarray(getattr(edge_index, "edge_index", edge_index))
     if edge_index.shape[1]:
         if edge_index[1].max() >= n_dst:
             raise ValueError("edge destination exceeds target-set size")
         if edge_index[0].max() >= x_src.shape[0]:
             raise ValueError("edge source exceeds source-set size")
-    if plan is not None and plan.num_edges != edge_index.shape[1]:
-        raise ValueError("aggregation plan does not match edge_index")
-    return x_src, x_dst, n_dst, edge_index, plan
+    if adj is not None:
+        plan = adj.build_plan()
+        if plan.num_edges != edge_index.shape[1]:
+            raise ValueError("aggregation plan does not match edge_index")
+    else:
+        plan = AggregationPlan.from_edge_index(edge_index, (x_src.shape[0], n_dst))
+    return x_src, x_dst, plan
 
 
 class SAGEConv(Module):
@@ -69,21 +74,13 @@ class SAGEConv(Module):
         self.lin_root = Linear(in_channels, out_channels, bias=bias, rng=rng)
 
     def forward(self, x_pair, edge_index) -> Tensor:
-        x_src, x_dst, n_dst, edge_index, plan = _unpack(x_pair, edge_index)
-        if plan is not None and self.aggregator in ("mean", "sum"):
-            # Fused gather→reduce: the (E, F) message array never exists.
-            if self.aggregator == "mean":
-                agg = F.gather_segment_mean(x_src, plan)
-            else:
-                agg = F.gather_segment_sum(x_src, plan)
+        x_src, x_dst, plan = _unpack(x_pair, edge_index)
+        if self.aggregator == "mean":
+            agg = F.gather_segment_mean(x_src, plan)
+        elif self.aggregator == "sum":
+            agg = F.gather_segment_sum(x_src, plan)
         else:
-            messages = F.gather_rows(x_src, edge_index[0])
-            if self.aggregator == "mean":
-                agg = F.segment_mean(messages, edge_index[1], n_dst)
-            elif self.aggregator == "sum":
-                agg = F.segment_sum(messages, edge_index[1], n_dst)
-            else:
-                agg = F.segment_max(messages, edge_index[1], n_dst, plan=plan)
+            agg = F.segment_max(F.gather_rows(x_src, plan.src), plan)
         return self.lin_neigh(agg) + self.lin_root(x_dst)
 
     def __repr__(self) -> str:
@@ -129,14 +126,13 @@ class GATConv(Module):
         self.bias = init.zeros(heads * out_channels) if bias else None
 
     def forward(self, x_pair, edge_index) -> Tensor:
-        x_src, x_dst, n_dst, edge_index, plan = _unpack(x_pair, edge_index)
+        x_src, x_dst, plan = _unpack(x_pair, edge_index)
+        n_dst = x_dst.shape[0]
         # Self loops: target node j is source node j (prefix property).
         # The augmented plan is memoized on the batch plan, shared by all
         # heads and both passes.
-        aug_plan = plan.with_self_loops() if plan is not None else None
-        loops = np.arange(n_dst, dtype=np.int64)
-        src = np.concatenate([edge_index[0], loops])
-        dst = np.concatenate([edge_index[1], loops])
+        aug_plan = plan.with_self_loops()
+        src, dst = aug_plan.src, aug_plan.dst
 
         n_src = x_src.shape[0]
         h_src = self.lin(x_src).reshape(n_src, self.heads, self.out_channels)
@@ -149,10 +145,10 @@ class GATConv(Module):
             logits = (
                 alpha_src[:, head][src] + alpha_dst[:, head][dst]
             ).leaky_relu(self.negative_slope)
-            alpha = F.segment_softmax(logits, dst, n_dst, plan=aug_plan)
+            alpha = F.segment_softmax(logits, aug_plan)
             h_head = h_src[:, head]
             weighted = F.gather_rows(h_head, src) * alpha.reshape(-1, 1)
-            head_outputs.append(F.segment_sum(weighted, dst, n_dst, plan=aug_plan))
+            head_outputs.append(F.segment_sum(weighted, aug_plan))
         out = (
             head_outputs[0]
             if self.heads == 1
@@ -181,13 +177,8 @@ class GINConv(Module):
         self.eps = eps
 
     def forward(self, x_pair, edge_index) -> Tensor:
-        x_src, x_dst, n_dst, edge_index, plan = _unpack(x_pair, edge_index)
-        if plan is not None:
-            agg = F.gather_segment_sum(x_src, plan)
-        else:
-            agg = F.segment_sum(
-                F.gather_rows(x_src, edge_index[0]), edge_index[1], n_dst
-            )
+        x_src, x_dst, plan = _unpack(x_pair, edge_index)
+        agg = F.gather_segment_sum(x_src, plan)
         return self.mlp(agg + x_dst * (1.0 + self.eps))
 
     def __repr__(self) -> str:

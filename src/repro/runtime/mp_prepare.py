@@ -56,7 +56,6 @@ from ..telemetry import Counters, MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device
-from .pipeline import check_compute
 from .shm import (
     SharedArena,
     SharedDataset,
@@ -432,14 +431,12 @@ class MPPrepareStage(Stage):
         client: MultiprocessPreparePool,
         slot_pool: SharedSlotPool,
         rng_entries: Callable[[int], Sequence[int]],
-        build_plans: bool = False,
         result_timeout: float = 120.0,
     ) -> None:
         super().__init__()
         self.client = client
         self.slot_pool = slot_pool
         self.rng_entries = rng_entries
-        self.build_plans = build_plans
         self.result_timeout = result_timeout
         self.workers = client.num_workers
 
@@ -492,9 +489,8 @@ class MPPrepareStage(Stage):
         ).observe(sample_s + slice_s)
         metrics.counter("mp_batches", worker=str(worker_id)).inc()
         ctx.counters.inc("mp_prepared_batches")
-        if self.build_plans:
-            with _timed_span(ctx, env, "plan_build", resource):
-                build_aggregation_plans(env.mfg, metrics=metrics)
+        with _timed_span(ctx, env, "plan_build", resource):
+            build_aggregation_plans(env.mfg, metrics=metrics)
 
 
 # ----------------------------------------------------------------------
@@ -528,17 +524,14 @@ class MultiprocessExecutor:
         seed: int = 0,
         counters: Optional[Counters] = None,
         metrics: Optional[MetricsRegistry] = None,
-        compute: str = "fused",
         probes: Optional[ProbeSampler] = None,
         start_method: str = DEFAULT_START_METHOD,
         result_timeout: float = 120.0,
     ) -> None:
-        check_compute(compute)
         if prefetch_depth < 1:
             raise ValueError("multiprocess prepare requires prefetch_depth >= 1")
         self.store = store
         self.device = device
-        self.compute = compute
         self.num_workers = num_workers
         self.tracer = tracer or Tracer(enabled=False)
         self.counters = counters if counters is not None else Counters()
@@ -582,7 +575,6 @@ class MultiprocessExecutor:
                     self.client,
                     self.pinned_pool,
                     rng_entries=rng_entries,
-                    build_plans=self.compute == "fused",
                     result_timeout=result_timeout,
                 ),
                 TransferStage(device),

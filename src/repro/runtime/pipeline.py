@@ -52,27 +52,13 @@ __all__ = [
     "SerialExecutor",
     "PipelinedExecutor",
     "StagedExecutor",
-    "check_compute",
 ]
 
 TrainFn = Callable[[DeviceBatch], float]
 
 
-def check_compute(compute: str) -> str:
-    """Validate a kernel-generation name (``"fused"`` or ``"legacy"``)."""
-    if compute not in ("fused", "legacy"):
-        raise ValueError(f"unknown compute mode {compute!r}")
-    return compute
-
-
 class SerialExecutor:
-    """Listing-1 workflow: every stage blocks the main thread (depth 0).
-
-    ``compute`` selects the kernel generation: ``"fused"`` (default) builds
-    per-batch aggregation plans in the slice stage for the fused kernels;
-    ``"legacy"`` skips them, keeping the original per-call-argsort path
-    (byte-identical results — the twin-kernel contract).
-    """
+    """Listing-1 workflow: every stage blocks the main thread (depth 0)."""
 
     def __init__(
         self,
@@ -82,7 +68,6 @@ class SerialExecutor:
         tracer: Optional[Tracer] = None,
         seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
-        compute: str = "fused",
         probes: Optional[ProbeSampler] = None,
     ) -> None:
         self.sampler = sampler
@@ -90,12 +75,11 @@ class SerialExecutor:
         self.device = device
         self.tracer = tracer or Tracer(enabled=False)
         self.seed = seed
-        self.compute = check_compute(compute)
         self.probes = probes
         self._pipeline = StagedPipeline(
             [
                 SampleStage(lambda: sampler),
-                SliceStage(store, reference=True, build_plans=self.compute == "fused"),
+                SliceStage(store, reference=True),
                 TransferStage(device),
                 ComputeStage(),
             ],
@@ -129,12 +113,10 @@ class _PooledExecutor:
         seed: int = 0,
         counters: Optional[Counters] = None,
         metrics: Optional[MetricsRegistry] = None,
-        compute: str = "fused",
         probes: Optional[ProbeSampler] = None,
     ) -> None:
         self.store = store
         self.device = device
-        self.compute = check_compute(compute)
         self.tracer = tracer or Tracer(enabled=False)
         #: one shared sink for sampler, slicer and pinned-pool telemetry
         self.counters = counters if counters is not None else Counters()
@@ -184,7 +166,6 @@ class PipelinedExecutor(_PooledExecutor):
                 self.store,
                 pinned_pool=self.pinned_pool,
                 workers=num_workers,
-                build_plans=self.compute == "fused",
             ),
             TransferStage(self.device),
             ComputeStage(),
@@ -199,11 +180,7 @@ class StagedExecutor(_PooledExecutor):
     def _build_stages(self, sampler_factory, num_workers):
         return [
             SampleStage(sampler_factory, workers=num_workers),
-            SliceStage(
-                self.store,
-                pinned_pool=self.pinned_pool,
-                build_plans=self.compute == "fused",
-            ),
+            SliceStage(self.store, pinned_pool=self.pinned_pool),
             TransferStage(self.device),
             ComputeStage(),
         ]

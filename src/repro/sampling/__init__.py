@@ -21,7 +21,7 @@ from .design_space import (
     all_variants,
     expand_hop,
 )
-from .fast_sampler import FastNeighborSampler, expand_frontier_vectorized
+from .fast_sampler import FastNeighborSampler
 from .layerwise import FastGCNSampler, LadiesSampler, weighted_segment_mean
 from .lazy import CacheRestrictedSampler, LazySamplerSchedule
 from .mfg import MFG, Adj
@@ -42,7 +42,6 @@ __all__ = [
     "PyGNeighborSampler",
     "sample_adj_reference",
     "FastNeighborSampler",
-    "expand_frontier_vectorized",
     "SamplerArena",
     "expand_frontier_arena",
     "first_occurrence_dedup",

@@ -32,10 +32,10 @@ within one ulp of the composite (< 2^-40 per pair; never observed, and the
 determinism suite pins exact equality for its seeds).  One stable argsort
 is ~5-10x faster than ``lexsort``'s two merge sorts.
 
-Output order note: both the legacy sort path and the arena split path emit
-selected edges in *canonical adjacency order* (ascending candidate-edge
-position), so the copy-through and sort sub-paths — and the legacy and
-arena samplers — produce byte-identical MFGs for a shared RNG stream.
+Output order note: the split path, its whole-array sort fallback and the
+pre-arena reference kernel (``benchmarks/reference.py``) all emit selected
+edges in *canonical adjacency order* (ascending candidate-edge position),
+so they produce byte-identical MFGs for a shared RNG stream.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: When more than this fraction of candidate edges belongs to over-degree
-#: segments, splitting buys nothing: sort everything (the legacy shape,
+#: segments, splitting buys nothing: sort everything (the pre-arena shape,
 #: minus the lexsort).  Both paths produce identical output.
 SORT_FALLBACK_FRACTION = 0.9
 
@@ -233,9 +233,9 @@ def expand_frontier_arena(
 
     Returns ``(src_global, dst_local)`` arena views for the selected edges
     in canonical adjacency order.  Consumes the RNG stream exactly like the
-    legacy :func:`~repro.sampling.fast_sampler.expand_frontier_vectorized`
-    (one uniform key per candidate edge whenever any segment exceeds the
-    fanout), so both produce identical selections for a shared generator.
+    pre-arena full-edge ``lexsort`` kernel (one uniform key per candidate
+    edge whenever any segment exceeds the fanout), so both produce
+    identical selections for a shared generator.
     """
     counters = arena.counters
     src_global, dst_local, degrees, total = gather_frontier_edges(
@@ -259,7 +259,7 @@ def expand_frontier_arena(
 
     if n_over >= SORT_FALLBACK_FRACTION * total:
         # Nearly everything needs sorting: fall back to one whole-array sort
-        # (the legacy shape, minus the lexsort).  Identical output.
+        # (the pre-arena shape, minus the lexsort).  Identical output.
         counters.inc("sampler_edges_sort_path", total)
         keep[:] = False
         order = np.argsort(composite, kind="stable")

@@ -13,17 +13,17 @@ translated to the numpy substrate:
 3. **Fused sampling + MFG construction**: neighbor selection, ID remapping
    and bipartite-layer assembly happen in one pass over flat arrays; no
    staged intermediate per-node Python lists.
-4. **Arena-allocated hot path** (default): per-sampler persistent scratch
-   buffers (:mod:`repro.sampling.arena`) make every hop allocation-free
-   after warm-up, dedup O(D) via the persistent map (no ``np.unique``
-   sort), and fanout selection a *split path* that copies under-degree
-   segments verbatim and sorts only the over-degree remainder.
+4. **Arena-allocated hot path**: per-sampler persistent scratch buffers
+   (:mod:`repro.sampling.arena`) make every hop allocation-free after
+   warm-up, dedup O(D) via the persistent map (no ``np.unique`` sort), and
+   fanout selection a *split path* that copies under-degree segments
+   verbatim and sorts only the over-degree remainder.
 
-The pre-arena kernels are kept intact behind ``use_arena=False`` as the
-"old fast" comparison twin: both paths consume the RNG stream identically
-and emit edges in canonical adjacency order, so they produce byte-identical
-MFGs for a shared seed (asserted by the determinism tests and timed against
-each other by ``benchmarks/bench_sampler_hotpath.py``).
+The pre-arena hop loop (full-edge ``lexsort`` + ``np.unique`` dedup) lives
+in ``benchmarks/reference.py``; it consumes the RNG stream identically and
+emits edges in the same canonical adjacency order, so the tests assert
+byte-identical MFGs against it and ``benchmarks/bench_sampler_hotpath.py``
+times the arena path against it.
 
 On the numpy substrate, "performance-engineering" means the entire hop is a
 fixed number of O(D) vectorized kernels (D = total frontier degree) plus a
@@ -43,7 +43,7 @@ from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
 from .base import NeighborSamplerBase
 from .mfg import MFG, Adj
 
-__all__ = ["FastNeighborSampler", "expand_frontier_vectorized"]
+__all__ = ["FastNeighborSampler"]
 
 
 def _gather_all_edges(
@@ -64,83 +64,32 @@ def _gather_all_edges(
     return src_global, dst_local, degrees
 
 
-def expand_frontier_vectorized(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    fanout: Optional[int],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-hop uniform without-replacement expansion, fully vectorized.
-
-    The pre-arena ("old fast") kernel: gathers every candidate edge, draws
-    one uniform key per edge, and keeps the ``fanout`` smallest keys per
-    destination segment via a full-array ``lexsort`` — an exchangeable
-    scheme equivalent to uniform sampling without replacement.
-
-    Returns ``(src_global, dst_local)`` for the selected edges in canonical
-    adjacency order (ascending candidate-edge position), the same order the
-    arena split path emits, so the two kernels are interchangeable under a
-    shared RNG stream.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    src_global, dst_local, degrees = _gather_all_edges(indptr, indices, frontier)
-    if fanout is None or len(src_global) == 0 or degrees.max() <= fanout:
-        return src_global, dst_local
-
-    total = len(src_global)
-    keys = rng.random(total)
-    # Candidate edges are already grouped by destination; lexsort orders by
-    # (segment, key) so each segment's smallest-key edges come first.
-    order = np.lexsort((keys, dst_local))
-    seg_starts = np.cumsum(degrees) - degrees
-    rank_in_segment = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, degrees)
-    cap = np.minimum(degrees, fanout)
-    keep_sorted = rank_in_segment < np.repeat(cap, degrees)
-    # Canonical adjacency order: selection happens in key order, output in
-    # original candidate order (a boolean mask preserves it).
-    keep = np.zeros(total, dtype=bool)
-    keep[order[keep_sorted]] = True
-    return src_global[keep], dst_local[keep]
-
-
 class FastNeighborSampler(NeighborSamplerBase):
-    """Fused, array-mapped, vectorized multi-hop sampler (SALIENT).
-
-    ``use_arena=True`` (default) runs the arena-allocated O(D) hot path;
-    ``use_arena=False`` preserves the pre-arena kernels (``np.unique``
-    dedup + full-edge lexsort + fresh per-hop allocations) as the timing
-    and equivalence twin.  Both paths produce byte-identical MFGs for a
-    shared RNG stream.
-    """
+    """Fused, array-mapped, vectorized multi-hop sampler (SALIENT) on the
+    arena-allocated O(D) hot path."""
 
     def __init__(
         self,
         graph: CSRGraph,
         fanouts: Sequence[Optional[int]],
-        use_arena: bool = True,
         arena: Optional[SamplerArena] = None,
         counters: Optional[Counters] = None,
     ) -> None:
         super().__init__(graph, fanouts)
         # Persistent array ID map (design point 1). Reset lazily per batch.
         self._local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-        self.use_arena = use_arena
         self.counters = counters if counters is not None else Counters()
-        self.arena: Optional[SamplerArena] = None
-        if use_arena:
-            self.arena = arena if arena is not None else SamplerArena(self.counters)
-            self.arena.attach_counters(self.counters)
+        self.arena = arena if arena is not None else SamplerArena(self.counters)
+        self.arena.attach_counters(self.counters)
 
     def attach_counters(self, counters: Counters) -> None:
         """Redirect telemetry (e.g. to a batch-preparation pool's counters)."""
         self.counters = counters
-        if self.arena is not None:
-            self.arena.attach_counters(counters)
+        self.arena.attach_counters(counters)
 
     def attach_metrics(self, metrics) -> None:
         """Redirect arena metric observations to a shared registry."""
-        if self.arena is not None:
-            self.arena.attach_metrics(metrics)
+        self.arena.attach_metrics(metrics)
 
     def sample(self, batch_nodes: np.ndarray, rng: np.random.Generator) -> MFG:
         batch_nodes = np.ascontiguousarray(batch_nodes, dtype=np.int64)
@@ -158,8 +107,7 @@ class FastNeighborSampler(NeighborSamplerBase):
         try:
             touched.append(batch_nodes)
             local_of[batch_nodes] = np.arange(len(batch_nodes), dtype=np.int64)
-            hops = self._sample_hops_arena if self.use_arena else self._sample_hops_legacy
-            n_id = hops(n_id, local_of, touched, adjs, rng)
+            n_id = self._sample_hops(n_id, local_of, touched, adjs, rng)
         finally:
             # Every array in ``touched`` holds validated node ids, so this
             # reset is exception-safe: any failure mid-hop (bad RNG, graph
@@ -171,7 +119,7 @@ class FastNeighborSampler(NeighborSamplerBase):
         self.counters.inc("sampler_batches")
         return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
 
-    def _sample_hops_arena(
+    def _sample_hops(
         self,
         n_id: np.ndarray,
         local_of: np.ndarray,
@@ -180,7 +128,6 @@ class FastNeighborSampler(NeighborSamplerBase):
         rng: np.random.Generator,
     ) -> np.ndarray:
         arena = self.arena
-        assert arena is not None
         for fanout in self.fanouts:
             n_dst = len(n_id)
             src_sel, dst_sel = expand_frontier_arena(
@@ -197,38 +144,4 @@ class FastNeighborSampler(NeighborSamplerBase):
             edge_index[0] = src_local
             edge_index[1] = dst_sel
             adjs.append(Adj(edge_index=edge_index, e_id=None, size=(len(n_id), n_dst)))
-        return n_id
-
-    def _sample_hops_legacy(
-        self,
-        n_id: np.ndarray,
-        local_of: np.ndarray,
-        touched: list[np.ndarray],
-        adjs: list[Adj],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        for fanout in self.fanouts:
-            n_dst = len(n_id)
-            src_global, dst_local = expand_frontier_vectorized(
-                self.graph, n_id, fanout, rng
-            )
-            # Fused remap + dedup (design points 2 and 3): find first
-            # occurrences of unseen globals in discovery order.
-            src_local = local_of[src_global]
-            new_mask = src_local < 0
-            if new_mask.any():
-                new_globals = src_global[new_mask]
-                uniq, first_pos = np.unique(new_globals, return_index=True)
-                discovery = np.argsort(first_pos, kind="stable")
-                ordered_new = uniq[discovery]
-                local_of[ordered_new] = len(n_id) + np.arange(
-                    len(ordered_new), dtype=np.int64
-                )
-                touched.append(ordered_new)
-                n_id = np.concatenate([n_id, ordered_new])
-                src_local = local_of[src_global]
-            edge_index = np.stack([src_local, dst_local])
-            adjs.append(
-                Adj(edge_index=edge_index, e_id=None, size=(len(n_id), n_dst))
-            )
         return n_id

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..tensor import Tensor, functional as F
+from ..tensor import AggregationPlan, Tensor, functional as F
 from .base import NeighborSamplerBase
 from .fast_sampler import _gather_all_edges
 from .mfg import MFG, Adj
@@ -41,10 +41,11 @@ def weighted_segment_mean(
     importance estimator of the neighborhood mean used by layer-wise
     sampling methods.
     """
+    plan = AggregationPlan.for_segments(index, n_segments)
     weights = Tensor(edge_weight.astype(np.float32).reshape(-1, 1))
     weighted = messages * weights
-    num = F.segment_sum(weighted, index, n_segments)
-    den = F.segment_sum(weights, index, n_segments)
+    num = F.segment_sum(weighted, plan)
+    den = F.segment_sum(weights, plan)
     den_safe = Tensor(np.maximum(den.data, 1e-12)) + (den - den.detach())
     return num / den_safe
 

@@ -18,8 +18,7 @@ One package owns every instrumentation seam of the repository:
   (``python -m repro diagnose report.json``);
 - :mod:`.sentinel` — the perf-regression sentinel comparing fresh
   ``BENCH_*.json`` artifacts against committed baselines;
-- :mod:`.timers` / :mod:`.tables` — stopwatches and the table/bar renderers
-  every bench prints through.
+- :mod:`.tables` — the table/bar renderers every bench prints through.
 """
 
 from .attribution import (
@@ -40,12 +39,9 @@ from .metrics import (
 from .monitor import DEFAULT_PROBE_INTERVAL, ProbeRing, ProbeSampler
 from .report import RunReport, collect_environment
 from .tables import format_bar_chart, format_seconds, format_table
-from .timers import StageTimers, Timer
 from .tracer import STAGE_GLYPHS, TraceEvent, Tracer, render_timeline
 
 __all__ = [
-    "Timer",
-    "StageTimers",
     "Counters",
     "Counter",
     "Gauge",

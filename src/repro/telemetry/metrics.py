@@ -248,11 +248,8 @@ class Histogram(Metric):
 
 
 class Timer(Histogram):
-    """Histogram of elapsed seconds with a context-manager front end.
-
-    Replaces the old accumulating ``telemetry.timers.Timer`` stopwatch in
-    registry contexts: ``total``/``mean`` keep the stopwatch vocabulary.
-    """
+    """Histogram of elapsed seconds with a context-manager front end;
+    ``total``/``mean`` keep the stopwatch vocabulary."""
 
     kind = "timer"
 

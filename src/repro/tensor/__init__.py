@@ -11,20 +11,13 @@ Public surface:
   graph substrate.
 - :class:`AggregationPlan` — precomputed per-batch segment-reduction
   metadata reused across layers and passes.
-- :class:`Workspace` + ``workspace_scope``/``compute_scope`` — the per-step
-  buffer pool and fused/legacy kernel switch.
+- :class:`Workspace` + ``workspace_scope`` — the per-step buffer pool.
 """
 
 from . import functional, init, kernels
 from .plan import AggregationPlan
 from .tensor import Tensor, is_grad_enabled, no_grad
-from .workspace import (
-    Workspace,
-    compute_scope,
-    current_workspace,
-    is_fused_compute,
-    workspace_scope,
-)
+from .workspace import Workspace, current_workspace, workspace_scope
 
 __all__ = [
     "Tensor",
@@ -37,6 +30,4 @@ __all__ = [
     "Workspace",
     "workspace_scope",
     "current_workspace",
-    "compute_scope",
-    "is_fused_compute",
 ]

@@ -6,15 +6,14 @@ Covers the ops needed by the paper's four architectures (appendix listings):
 passing over bipartite message-flow-graph layers (``segment_sum`` /
 ``segment_mean`` / ``segment_max`` / ``segment_softmax``).
 
-The segment ops accept an optional precomputed
-:class:`~repro.tensor.plan.AggregationPlan` (``plan=``): when given, the
-per-call argsort/flat-index setup inside the kernels is skipped and the
-fused column-blocked kernels run instead — bit-for-bit identical results
-(see ``tests/tensor/test_fused_kernels.py``).  ``gather_segment_sum`` /
+Every segment op takes the layer's precomputed
+:class:`~repro.tensor.plan.AggregationPlan`, which carries the
+destination index and the sort/count metadata the reductions need, so no
+op recomputes it per call.  ``gather_segment_sum`` /
 ``gather_segment_mean`` fuse the row gather *into* the reduction so the
-``(E, F)`` message array never exists; :func:`linear` collapses its
-matmul/transpose/add chain into one tape node inside
-``compute_scope("fused")``.
+``(E, F)`` message array never exists; :func:`linear` is a single tape
+node (matmul + bias).  ``tests/tensor/test_fused_kernels.py`` pins each op
+bit-for-bit against the unfused reference in ``benchmarks/reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 from . import kernels
 from .plan import AggregationPlan
 from .tensor import Tensor, is_grad_enabled
-from .workspace import is_fused_compute
 
 __all__ = [
     "relu",
@@ -56,27 +54,14 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     return x.leaky_relu(negative_slope)
 
 
-def linear(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    fused: Optional[bool] = None,
-) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight.T + bias`` with PyTorch weight layout ``(out, in)``.
 
-    Inside ``compute_scope("fused")`` (or with ``fused=True``) the
-    matmul/transpose/add chain collapses into one tape node backed by
-    :func:`repro.tensor.kernels.linear_forward` — bitwise-identical output
-    and gradients, three fewer tape nodes and temporaries per call.
+    One tape node backed by :func:`repro.tensor.kernels.linear_forward`:
+    output and gradients are bit-identical to the matmul/transpose/add
+    chain, with three fewer tape nodes and temporaries per call.
     """
-    if fused is None:
-        fused = is_fused_compute()
-    if fused:
-        return _fused_linear(x, weight, bias)
-    out = x @ weight.T
-    if bias is not None:
-        out = out + bias
-    return out
+    return _fused_linear(x, weight, bias)
 
 
 def _fused_linear(
@@ -205,11 +190,9 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
 
 
 def gather_segment_sum(x: Tensor, plan: AggregationPlan) -> Tensor:
-    """Fused ``segment_sum(x[plan.src], plan.dst, plan.n_dst)``.
+    """Sum of ``x[plan.src]`` per destination, as one fused tape node.
 
-    One tape node replacing the gather→segment_sum chain; neither direction
-    materializes the ``(E, F)`` per-edge array.  Bitwise-identical to the
-    legacy chain in both passes.
+    Neither direction materializes the ``(E, F)`` per-edge array.
     """
     data = kernels.fused_gather_segment_sum(x.data, plan)
     n_rows = x.shape[0]
@@ -221,7 +204,7 @@ def gather_segment_sum(x: Tensor, plan: AggregationPlan) -> Tensor:
 
 
 def gather_segment_mean(x: Tensor, plan: AggregationPlan) -> Tensor:
-    """Fused ``segment_mean(x[plan.src], plan.dst, plan.n_dst)``."""
+    """Mean of ``x[plan.src]`` per destination (GraphSAGE-mean), fused."""
     data = kernels.fused_gather_segment_mean(x.data, plan)
     counts = np.maximum(plan.counts, 1).astype(x.dtype)
     n_rows = x.shape[0]
@@ -233,18 +216,10 @@ def gather_segment_mean(x: Tensor, plan: AggregationPlan) -> Tensor:
     return Tensor._make(data, (x,), backward, "gather_segment_mean")
 
 
-def segment_sum(
-    values: Tensor,
-    index: np.ndarray,
-    n_segments: int,
-    plan: Optional[AggregationPlan] = None,
-) -> Tensor:
-    """Differentiable per-segment sum, the AGG of GIN-style models."""
-    index = np.asarray(index)
-    if plan is not None:
-        data = kernels.plan_segment_sum(values.data, plan)
-    else:
-        data = kernels.segment_sum(values.data, index, n_segments)
+def segment_sum(values: Tensor, plan: AggregationPlan) -> Tensor:
+    """Differentiable sum of per-edge ``values`` by ``plan.dst``."""
+    data = kernels.plan_segment_sum(values.data, plan)
+    index = plan.dst
 
     def backward(g: np.ndarray):
         return ((values, g[index]),)
@@ -252,22 +227,11 @@ def segment_sum(
     return Tensor._make(data, (values,), backward, "segment_sum")
 
 
-def segment_mean(
-    values: Tensor,
-    index: np.ndarray,
-    n_segments: int,
-    plan: Optional[AggregationPlan] = None,
-) -> Tensor:
-    """Differentiable per-segment mean, the AGG of GraphSAGE-mean."""
-    index = np.asarray(index)
-    if plan is not None:
-        data = kernels.plan_segment_mean(values.data, plan)
-        counts = np.maximum(plan.counts, 1).astype(values.dtype)
-    else:
-        data = kernels.segment_mean(values.data, index, n_segments)
-        counts = np.maximum(kernels.segment_counts(index, n_segments), 1).astype(
-            values.dtype
-        )
+def segment_mean(values: Tensor, plan: AggregationPlan) -> Tensor:
+    """Differentiable mean of per-edge ``values`` by ``plan.dst``."""
+    data = kernels.plan_segment_mean(values.data, plan)
+    counts = np.maximum(plan.counts, 1).astype(values.dtype)
+    index = plan.dst
 
     def backward(g: np.ndarray):
         scaled = g / (counts[:, None] if g.ndim == 2 else counts)
@@ -276,18 +240,9 @@ def segment_mean(
     return Tensor._make(data, (values,), backward, "segment_mean")
 
 
-def segment_max(
-    values: Tensor,
-    index: np.ndarray,
-    n_segments: int,
-    plan: Optional[AggregationPlan] = None,
-) -> Tensor:
-    """Differentiable per-segment max (pooling aggregator)."""
-    index = np.asarray(index)
-    if plan is not None:
-        data, argmax = kernels.plan_segment_max(values.data, plan)
-    else:
-        data, argmax = kernels.segment_max(values.data, index, n_segments)
+def segment_max(values: Tensor, plan: AggregationPlan) -> Tensor:
+    """Differentiable max of per-edge ``values`` by ``plan.dst`` (pooling)."""
+    data, argmax = kernels.plan_segment_max(values.data, plan)
 
     def backward(g: np.ndarray):
         grad = np.zeros_like(values.data)
@@ -302,42 +257,26 @@ def segment_max(
     return Tensor._make(data, (values,), backward, "segment_max")
 
 
-def segment_softmax(
-    scores: Tensor,
-    index: np.ndarray,
-    n_segments: int,
-    plan: Optional[AggregationPlan] = None,
-) -> Tensor:
-    """Softmax of ``scores`` normalized within each segment.
+def segment_softmax(scores: Tensor, plan: AggregationPlan) -> Tensor:
+    """Softmax of ``scores`` normalized within each destination segment.
 
     This is the attention-coefficient normalization of GAT: edge scores are
     grouped by destination node and exponentiated/normalized per group.
     ``scores`` is 1-D (one scalar per edge).
     """
-    index = np.asarray(index)
     if scores.ndim != 1:
         raise ValueError("segment_softmax expects 1-D scores (one per edge)")
-    if plan is not None:
-        # The plan path also skips the argmax recovery the legacy kernel
-        # always performs — the attention normalizer discards it anyway.
-        seg_max, _ = kernels.plan_segment_max(scores.data, plan, compute_argmax=False)
-    else:
-        seg_max, _ = kernels.segment_max(scores.data, index, n_segments)
+    index = plan.dst
+    seg_max, _ = kernels.plan_segment_max(scores.data, plan, compute_argmax=False)
     # Empty segments have max 0, harmless: no edges reference them.
     shifted = scores.data - seg_max[index]
     exp = np.exp(shifted)
-    if plan is not None:
-        denom = kernels.plan_segment_sum(exp, plan)
-    else:
-        denom = kernels.segment_sum(exp, index, n_segments)
+    denom = kernels.plan_segment_sum(exp, plan)
     denom = np.maximum(denom, np.finfo(scores.dtype).tiny)
     out = exp / denom[index]
 
     def backward(g: np.ndarray):
-        if plan is not None:
-            weighted = kernels.plan_segment_sum(g * out, plan)
-        else:
-            weighted = kernels.segment_sum(g * out, index, n_segments)
+        weighted = kernels.plan_segment_sum(g * out, plan)
         return ((scores, out * (g - weighted[index])),)
 
     return Tensor._make(out.astype(scores.dtype), (scores,), backward, "segment_softmax")

@@ -2,33 +2,31 @@
 
 These are the "compiled extension" analogues of this reproduction: the few
 routines whose cost dominates message passing (row scatter-add, segment
-reductions). Each has an obvious reference formulation in the test suite and
-an optimized formulation here (bincount-based accumulation, sort-based
-segment reduction) per the ml-systems performance guide.
+reductions) per the ml-systems performance guide.
 
-Two generations coexist:
+- ``scatter_add_rows`` is the backward of a row gather (flat-index
+  ``np.bincount``, column-blocked);
+- the **plan** kernels (``plan_segment_*``) take the batch's prebuilt
+  :class:`~repro.tensor.plan.AggregationPlan` instead of recomputing sort /
+  count metadata per call, and the **fused** kernels
+  (``fused_gather_segment_*``, ``fused_gather_scatter_add``) additionally
+  collapse the gather into the reduction so the ``(E, F)`` per-edge message
+  array is never materialized; ``linear_forward`` / ``linear_backward`` fuse
+  ``x @ W.T + b`` (+ optional relu) into one kernel.
 
-- the **legacy** kernels (``scatter_add_rows``, ``segment_*``) rebuild their
-  sort/flat-index metadata on every call;
-- the **plan** kernels (``plan_segment_*``) take a prebuilt
-  :class:`~repro.tensor.plan.AggregationPlan` and skip that setup, and the
-  **fused** kernels (``fused_gather_segment_*``, ``fused_gather_scatter_add``)
-  additionally stream the gather through column blocks so the ``(E, F)``
-  per-edge message array is never materialized; ``linear_forward`` /
-  ``linear_backward`` fuse ``x @ W.T + b`` (+ optional relu) into one kernel.
-
-The two generations are byte-identical twins: every *sum* accumulates each
-output slot sequentially in original edge order, in float64, cast back to
-the input dtype — the flat-index ``np.bincount`` semantics.  The plan
-kernels run that accumulation through the plan's cached all-ones CSR
-operators (rows grouped by the *stable* sort preserve edge order, so
-scipy's C matvec loop adds in the same sequence an order of magnitude
-faster), falling back to the flat-index bincount itself when scipy is
-absent.  ``np.add.reduceat`` is never used for sums — its pairwise
-summation re-associates float adds and breaks bit-identity — but max is
-order-exact, so the plan's precomputed stable sort drives
-``maximum.reduceat`` there.
-``tests/tensor/test_fused_kernels.py`` pins the equivalence bit-for-bit.
+Every *sum* accumulates each output slot sequentially in original edge
+order, in float64, cast back to the input dtype — the flat-index
+``np.bincount`` semantics of the per-call reference kernels in
+``benchmarks/reference.py``.  The plan kernels run that accumulation
+through the plan's cached all-ones CSR operators (rows grouped by the
+*stable* sort preserve edge order, so scipy's C matvec loop adds in the
+same sequence an order of magnitude faster), falling back to the
+flat-index bincount itself when scipy is absent.  ``np.add.reduceat`` is
+never used for sums — its pairwise summation re-associates float adds and
+breaks bit-identity — but max is order-exact, so the plan's precomputed
+stable sort drives ``maximum.reduceat`` there.
+``tests/tensor/test_fused_kernels.py`` pins every kernel bit-for-bit
+against its reference.
 """
 
 from __future__ import annotations
@@ -47,10 +45,6 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "scatter_add_rows",
-    "segment_sum",
-    "segment_mean",
-    "segment_max",
-    "segment_counts",
     "plan_segment_sum",
     "plan_segment_mean",
     "plan_segment_max",
@@ -121,76 +115,6 @@ def scatter_add_rows(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.n
     return out
 
 
-def segment_counts(index: np.ndarray, n_segments: int) -> np.ndarray:
-    """Number of elements per segment (int64)."""
-    return np.bincount(np.asarray(index), minlength=n_segments).astype(np.int64)
-
-
-def segment_sum(values: np.ndarray, index: np.ndarray, n_segments: int) -> np.ndarray:
-    """Sum ``values`` grouped by ``index`` into ``n_segments`` rows."""
-    return scatter_add_rows(values, index, n_segments)
-
-
-def segment_mean(values: np.ndarray, index: np.ndarray, n_segments: int) -> np.ndarray:
-    """Mean of ``values`` per segment; empty segments yield zero rows."""
-    sums = segment_sum(values, index, n_segments)
-    counts = segment_counts(index, n_segments).astype(values.dtype)
-    counts = np.maximum(counts, 1)
-    if sums.ndim == 2:
-        return sums / counts[:, None]
-    return sums / counts
-
-
-def segment_max(
-    values: np.ndarray, index: np.ndarray, n_segments: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max of ``values`` per segment, plus the argmax element index per slot.
-
-    Returns
-    -------
-    out:
-        ``(n_segments, n_cols)`` array; empty segments are zero.
-    argmax:
-        ``(n_segments, n_cols)`` int64 array of the winning element index per
-        (segment, column) slot, or -1 for empty segments. Used to route
-        gradients back in the autograd wrapper.
-    """
-    squeeze = False
-    if values.ndim == 1:
-        values = values[:, None]
-        squeeze = True
-    index = np.asarray(index)
-    n_elems, n_cols = values.shape
-    out = np.zeros((n_segments, n_cols), dtype=values.dtype)
-    argmax = np.full((n_segments, n_cols), -1, dtype=np.int64)
-    if n_elems == 0:
-        return (out[:, 0], argmax[:, 0]) if squeeze else (out, argmax)
-
-    order = np.argsort(index, kind="stable")
-    sorted_idx = index[order]
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_idx)) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [n_elems]])
-    seg_ids = sorted_idx[starts]
-    # maximum.reduceat handles contiguous runs at C speed.
-    out[seg_ids] = np.maximum.reduceat(sorted_vals, starts, axis=0)
-    # Recover the argmax via a masked comparison against the per-segment max.
-    expanded_max = out[index]
-    is_max = values == expanded_max
-    # First matching element per (segment, col): iterate columns, still C-heavy.
-    elem_ids = np.arange(n_elems, dtype=np.int64)
-    for col in range(n_cols):
-        winners = np.where(is_max[:, col], elem_ids, np.iinfo(np.int64).max)
-        best = np.full(n_segments, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best, index, winners)
-        hit = best != np.iinfo(np.int64).max
-        argmax[hit, col] = best[hit]
-    if squeeze:
-        return out[:, 0], argmax[:, 0]
-    return out, argmax
-
-
 # ----------------------------------------------------------------------
 # Plan-based segment kernels: the per-call argsort/flat-index setup is
 # replaced by the batch's precomputed AggregationPlan.
@@ -207,9 +131,9 @@ def _bincount_block(
 ) -> np.ndarray:
     """Flat-index bincount of one ``(E, width)`` column block.
 
-    This is the exact legacy :func:`scatter_add_rows` accumulation —
-    sequential in edge order, in float64 — shared by the plan/fused sum
-    kernels so the two generations stay bitwise twins.
+    This is the exact :func:`scatter_add_rows` accumulation — sequential
+    in edge order, in float64 — shared by the plan/fused sum kernels so
+    they stay bit-identical to it.
     """
     width = block.shape[1]
     flat_idx = (
@@ -283,7 +207,7 @@ def _blocked_bincount_into(
 
 
 def plan_segment_sum(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
-    """``segment_sum(values, plan.dst, plan.n_dst)`` into a pooled buffer."""
+    """Sum ``values`` (one row per edge) by ``plan.dst`` into a pooled buffer."""
     _check_plan(values, plan)
     if values.ndim == 1:
         if plan.num_edges == 0:
@@ -314,7 +238,8 @@ def plan_segment_sum(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
 
 
 def plan_segment_mean(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
-    """``segment_mean(values, plan.dst, plan.n_dst)`` via the plan's counts."""
+    """Per-destination mean of ``values`` via the plan's counts (empty
+    segments yield zero rows)."""
     sums = plan_segment_sum(values, plan)
     counts = np.maximum(plan.counts.astype(values.dtype), 1)
     if sums.ndim == 2:
@@ -327,11 +252,13 @@ def plan_segment_mean(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
 def plan_segment_max(
     values: np.ndarray, plan: AggregationPlan, compute_argmax: bool = True
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``segment_max`` reusing the plan's sorted order.
+    """Per-destination max of ``values`` reusing the plan's sorted order.
 
+    Returns ``(out, argmax)``: empty segments are zero in ``out``;
+    ``argmax`` holds the first winning edge per (segment, column) slot, or
+    -1 for empty segments, and routes gradients back.
     ``compute_argmax=False`` skips the per-column argmax recovery loop —
-    segment-softmax only needs the max values, so the (discarded) argmax
-    work the legacy kernel always performs is elided.
+    segment-softmax only needs the max values.
     """
     _check_plan(values, plan)
     squeeze = False
@@ -370,11 +297,11 @@ def plan_segment_max(
 # is streamed through column blocks instead of being materialized.
 # ----------------------------------------------------------------------
 def fused_gather_segment_sum(x: np.ndarray, plan: AggregationPlan) -> np.ndarray:
-    """``segment_sum(x[plan.src], plan.dst, plan.n_dst)`` without the
-    ``(E, F)`` message temporary.
+    """Gather ``x[plan.src]`` and sum by ``plan.dst`` without the ``(E, F)``
+    message temporary.
 
     The plan's cached ``(n_dst, n_src)`` CSR operator collapses the gather
-    and the reduce into one matvec over ``x`` (bitwise twin of the unfused
+    and the reduce into one matvec over ``x`` (bit-identical to the unfused
     gather→segment_sum chain); without scipy, ``(E, width)`` column blocks
     are gathered, bincount-accumulated and discarded.
     """
@@ -396,7 +323,7 @@ def fused_gather_segment_sum(x: np.ndarray, plan: AggregationPlan) -> np.ndarray
 
 
 def fused_gather_segment_mean(x: np.ndarray, plan: AggregationPlan) -> np.ndarray:
-    """``segment_mean(x[plan.src], plan.dst, plan.n_dst)``, fused."""
+    """Gather ``x[plan.src]`` and average by ``plan.dst``, fused."""
     sums = fused_gather_segment_sum(x, plan)
     counts = np.maximum(plan.counts.astype(x.dtype), 1)
     np.divide(sums, counts[:, None], out=sums)
@@ -411,7 +338,7 @@ def fused_gather_scatter_add(
     Bitwise-equivalent to ``scatter_add_rows(g[plan.dst], plan.src,
     n_rows)``: the plan's cached ``(n_src, n_dst)`` CSR operator runs the
     same per-source accumulation in one matvec over ``g`` (source rows
-    beyond ``n_src`` stay zero, as in the legacy bincount), so the
+    beyond ``n_src`` stay zero, as in the bincount), so the
     ``(E, F)`` edge-gradient temporary is never materialized either.
     """
     if g.ndim != 2:
@@ -445,10 +372,10 @@ def linear_forward(
 ) -> np.ndarray:
     """``relu?(x @ weight.T + bias)`` with PyTorch weight layout ``(out, in)``.
 
-    The gemm consumes ``weight.T`` as a view (the exact operand the legacy
-    transpose-node path feeds BLAS) and writes into a workspace-pooled
-    destination; bias add and relu are applied in place on the gemm output
-    — elementwise identical to the legacy op chain.
+    The gemm consumes ``weight.T`` as a view (the exact operand an unfused
+    ``x @ weight.T`` transpose node feeds BLAS) and writes into a
+    workspace-pooled destination; bias add and relu are applied in place
+    on the gemm output — elementwise identical to the unfused op chain.
     """
     out = _pool_empty(
         x.shape[:-1] + (weight.shape[0],), np.result_type(x.dtype, weight.dtype)
@@ -471,10 +398,10 @@ def linear_backward(
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Gradients ``(grad_x, grad_weight, grad_bias)`` of :func:`linear_forward`.
 
-    Matches the legacy tape bit-for-bit: the relu mask tests the (post-)
+    Matches the unfused tape bit-for-bit: the relu mask tests the (post-)
     activation against 0 (equivalent to the pre-activation test since
     ``out > 0  ⟺  pre > 0``); ``grad_weight`` is computed as
-    ``transpose(x.T @ g)`` — the same gemm the legacy matmul backward runs,
+    ``transpose(x.T @ g)`` — the same gemm the unfused matmul backward runs,
     transposed as a view — **not** ``g.T @ x``, which would sum in a
     different order.
     """

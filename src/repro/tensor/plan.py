@@ -2,19 +2,19 @@
 
 Every segment reduction over a message-flow-graph layer needs the same
 setup metadata — per-destination counts for means, and for max/softmax a
-destination-sorted edge permutation with its segment boundaries.  The
-legacy kernels recompute it (an argsort or a ``bincount`` over the index)
-inside *every* ``segment_mean/max/softmax`` call, i.e. once per op per
-layer per direction.  An :class:`AggregationPlan` computes it **once per
-batch** (in the prepare/slice pipeline stage, off the compute critical
-path) and is reused by every layer's forward *and* backward pass.  For
-GAT the self-loop-augmented edge set (and its sort) is additionally
-memoized on the plan, where the legacy path re-concatenates and re-sorts
-it on every softmax/sum call of every layer.
+destination-sorted edge permutation with its segment boundaries.
+Recomputing it (an argsort or a ``bincount`` over the index) inside every
+``segment_mean/max/softmax`` call would cost it once per op per layer per
+direction.  An :class:`AggregationPlan` computes it **once per batch** (in
+the prepare/slice pipeline stage, off the compute critical path) and is
+reused by every layer's forward *and* backward pass.  For GAT the
+self-loop-augmented edge set (and its sort) is additionally memoized on
+the plan, shared by every softmax/sum call of the layer.
 
 Bitwise contract: each output slot of a segment *sum* must accumulate its
-edges sequentially **in original edge order, in float64** — the legacy
-flat-index ``np.bincount`` semantics.  The plan materializes that same
+edges sequentially **in original edge order, in float64** — the
+flat-index ``np.bincount`` semantics of the per-call reference kernels
+(``benchmarks/reference.py``).  The plan materializes that same
 accumulation as cached CSR operators (rows grouped by the *stable*
 dst/src sort, so entries within a row keep edge order; data all-ones
 float64): ``A @ x`` runs the identical per-slot add sequence through
@@ -23,9 +23,8 @@ flat-index scalar loop.  ``np.add.reduceat`` is deliberately *not* used
 for sums — its pairwise summation re-associates float adds and is not
 bit-identical — but ``maximum.reduceat`` is order-exact, so the sorted
 view drives max/softmax.  When scipy is unavailable the kernels fall
-back to the legacy flat-index bincount (same bits, slower).
-``tests/tensor/test_fused_kernels.py`` pins the twin property
-bit-for-bit.
+back to the flat-index bincount itself (same bits, slower).
+``tests/tensor/test_fused_kernels.py`` pins this bit-for-bit.
 """
 
 from __future__ import annotations
@@ -156,6 +155,14 @@ class AggregationPlan:
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:
             raise ValueError(f"edge_index must be (2, E), got {edge_index.shape}")
         return cls(edge_index[0], edge_index[1], size[0], size[1])
+
+    @classmethod
+    def for_segments(cls, index: np.ndarray, n_segments: int) -> "AggregationPlan":
+        """Plan grouping per-edge rows by ``index`` into ``n_segments``
+        (each row is its own source), for segment ops over values that are
+        already one row per edge."""
+        index = np.asarray(index, dtype=np.int64)
+        return cls(np.arange(len(index)), index, len(index), n_segments)
 
     def with_self_loops(self) -> "AggregationPlan":
         """Plan for the self-loop-augmented edge set used by GAT.

@@ -1,4 +1,4 @@
-"""Per-step compute context: workspace buffer pool + fused-kernel switch.
+"""Per-step workspace buffer pool for the fused kernels.
 
 Training allocates near-identical activation/gradient arrays every batch —
 the column widths repeat exactly (feature/hidden dims), while the row
@@ -13,19 +13,15 @@ trainer releases them all at step end.  Hits, misses and byte volumes are
 recorded into a :class:`~repro.telemetry.metrics.MetricsRegistry` when one
 is attached.
 
-Both the active workspace and the fused/legacy kernel choice are
-*thread-local* scopes, entered by the trainer around the forward/backward
-of each step::
+The active workspace is a *thread-local* scope, entered by the trainer
+around the forward/backward of each step::
 
-    with compute_scope("fused"), workspace_scope(ws):
+    with workspace_scope(ws):
         out = model(x, mfg.adjs)
         loss.backward()
 
-Sampled and layer-wise inference enter ``compute_scope`` too (without a
-workspace: their outputs outlive the forward).  Outside any scope (DDP,
-ad-hoc tensor math, the legacy twin path) kernels fall back to plain
-``numpy`` allocation and the byte-exact legacy formulations — the same
-twin pattern as ``use_arena=False`` in the sampler.
+Outside any scope (inference, whose outputs outlive the forward; DDP;
+ad-hoc tensor math) the same kernels allocate with plain ``numpy``.
 
 Pooled buffers are only handed to *step-transient* consumers (fused-kernel
 outputs and backward scratch).  Nothing that outlives the step may hold
@@ -46,8 +42,6 @@ __all__ = [
     "Workspace",
     "workspace_scope",
     "current_workspace",
-    "compute_scope",
-    "is_fused_compute",
 ]
 
 
@@ -209,27 +203,3 @@ def _pool_empty(shape, dtype) -> np.ndarray:
     if workspace is not None:
         return workspace.empty(shape, dtype)
     return np.empty(shape, dtype=dtype)
-
-
-@contextmanager
-def compute_scope(mode: str):
-    """Select the kernel implementation for this thread.
-
-    ``"fused"`` routes ``F.linear`` through the single-node fused
-    matmul+bias kernel; ``"legacy"`` keeps the original per-op tape nodes.
-    Segment reductions are selected per-batch by the presence of an
-    :class:`~repro.tensor.plan.AggregationPlan` on the MFG instead.
-    """
-    if mode not in ("fused", "legacy"):
-        raise ValueError(f"unknown compute mode {mode!r}")
-    previous = getattr(_LOCAL, "compute", "legacy")
-    _LOCAL.compute = mode
-    try:
-        yield
-    finally:
-        _LOCAL.compute = previous
-
-
-def is_fused_compute() -> bool:
-    """Whether the current thread is inside ``compute_scope("fused")``."""
-    return getattr(_LOCAL, "compute", "legacy") == "fused"

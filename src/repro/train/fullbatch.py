@@ -60,13 +60,12 @@ class FullBatchTrainer:
         self.optimizer = Adam(
             self.model.parameters(), lr=config.lr, weight_decay=config.weight_decay
         )
-        # Precompute the full-graph "MFG": L identical dense layers.
+        # Precompute the full-graph "MFG": L identical dense layers sharing
+        # one Adj, so its aggregation plan is built once (first forward)
+        # and reused by every layer, pass and epoch.
         n = dataset.num_nodes
-        edge_index = dataset.graph.edge_index()
-        self._layers = [
-            Adj(edge_index=edge_index, e_id=None, size=(n, n))
-            for _ in range(config.num_layers)
-        ]
+        full = Adj(edge_index=dataset.graph.edge_index(), e_id=None, size=(n, n))
+        self._layers = [full] * config.num_layers
         self._features = dataset.features.astype(np.float32)
 
     def train_epoch(self) -> FullBatchEpoch:

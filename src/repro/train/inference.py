@@ -14,10 +14,10 @@ Figure 3 can compare them:
   the paper's Section 5 highlights (dense architectures like SAGE-RI must
   keep *all* layers).
 
-Both run on the same kernels as training: with the default
-``compute="fused"`` every batch (or full-neighbourhood block) gets its
+Both run on the same kernels as training: every batch (or
+full-neighbourhood block) gets its
 :class:`~repro.tensor.plan.AggregationPlan` in the slice stage and every
-conv takes the plan kernels, byte-identical to ``compute="legacy"``.
+conv aggregates through it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
 from ..runtime.device import Device, DeviceBatch
 from ..runtime.pinned import PinnedBufferPool
-from ..runtime.pipeline import check_compute
 from ..runtime.stages import (
     ComputeStage,
     PrepareStage,
@@ -46,7 +45,7 @@ from ..runtime.workers import estimate_max_rows
 from ..sampling.base import BatchIterator, NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
-from ..tensor import Tensor, compute_scope, functional as F, is_fused_compute, no_grad
+from ..tensor import Tensor, functional as F, no_grad
 from ..telemetry import Counters, MetricsRegistry
 
 __all__ = ["sampled_inference", "layerwise_full_inference", "LayerwiseResult"]
@@ -69,7 +68,6 @@ def sampled_inference(
     tracer: Optional[Tracer] = None,
     counters: Optional[Counters] = None,
     metrics: Optional[MetricsRegistry] = None,
-    compute: str = "fused",
 ) -> np.ndarray:
     """Predict log-probabilities for ``nodes`` with one-shot sampling.
 
@@ -88,19 +86,11 @@ def sampled_inference(
     the overlapped executors then hide transfer+prepare behind compute.
     Results are byte-identical across executors: batch seeds depend only
     on the batch's node offset (``[seed, cursor]``) and completed batches
-    are delivered in index order.
-
-    ``compute`` selects the kernel generation exactly as for training:
-    ``"fused"`` (default) builds each batch's aggregation plans in the
-    prepare/slice stage and runs the forward under
-    ``compute_scope("fused")``, so every conv takes the plan kernels;
-    ``"legacy"`` builds no plans and keeps the per-call kernels.  The two
-    are byte-identical twins, so the choice never changes a prediction.
+    are delivered in index order.  Each batch's aggregation plans are
+    built in the prepare/slice stage, as in training.
     """
     if executor not in ("serial", "pipelined", "staged"):
         raise ValueError(f"unknown executor {executor!r}")
-    check_compute(compute)
-    build_plans = compute == "fused"
     model.eval()
     nodes = np.asarray(nodes, dtype=np.int64)
     if hasattr(features, "slice_features"):
@@ -136,19 +126,11 @@ def sampled_inference(
     stages: list = []
     if executor == "pipelined":
         stages.append(
-            PrepareStage(
-                factory,
-                store,
-                pinned_pool=pinned_pool,
-                workers=num_workers,
-                build_plans=build_plans,
-            )
+            PrepareStage(factory, store, pinned_pool=pinned_pool, workers=num_workers)
         )
     else:
         stages.append(SampleStage(factory, workers=num_workers))
-        stages.append(
-            SliceStage(store, pinned_pool=pinned_pool, build_plans=build_plans)
-        )
+        stages.append(SliceStage(store, pinned_pool=pinned_pool))
     if device is not None:
         stages.append(TransferStage(device))
     stages.append(ComputeStage(name="infer"))
@@ -159,8 +141,7 @@ def sampled_inference(
         else:
             xs, mfg = payload.xs, payload.mfg
         x = Tensor(np.asarray(xs, dtype=np.float32))
-        with compute_scope(compute):
-            return model(x, mfg.adjs).data
+        return model(x, mfg.adjs).data
 
     out: Optional[np.ndarray] = None
 
@@ -214,8 +195,8 @@ def _propagate_full(
     on the depth-0 staged pipeline like every other execution path (full
     fanout draws nothing from the RNG, so seeding is irrelevant here).
 
-    Under ``compute_scope("fused")`` the slice stage builds each block's
-    aggregation plan and ``apply_layer`` receives the plan-carrying
+    The slice stage builds each block's aggregation plan and
+    ``apply_layer`` receives the plan-carrying
     :class:`~repro.sampling.mfg.Adj`, so full inference runs on the same
     plan kernels as training and sampled inference.
     """
@@ -238,7 +219,7 @@ def _propagate_full(
     pipeline = StagedPipeline(
         [
             SampleStage(lambda: FastNeighborSampler(graph, [None])),
-            SliceStage(store, build_plans=is_fused_compute()),
+            SliceStage(store),
             ComputeStage(name="infer"),
         ],
         prefetch_depth=0,
@@ -256,7 +237,6 @@ def layerwise_full_inference(
     features: np.ndarray,
     graph: CSRGraph,
     batch_size: int = 4096,
-    compute: str = "fused",
 ) -> LayerwiseResult:
     """Full-neighborhood, layer-by-layer inference for every node.
 
@@ -264,14 +244,9 @@ def layerwise_full_inference(
     layer buffers; GIN adds its prediction head; SAGE-RI's dense
     (Inception) connections force *all* layer outputs to stay resident,
     multiplying host memory — the trade-off Section 5 calls out.
-
-    ``compute`` selects the kernel generation as in
-    :func:`sampled_inference`: ``"fused"`` builds a plan per block and
-    runs every layer on the plan kernels, ``"legacy"`` keeps the per-call
-    kernels; the log-probabilities are byte-identical either way.
     """
     model.eval()
-    with no_grad(), compute_scope(check_compute(compute)):
+    with no_grad():
         if isinstance(model, (GraphSAGE, GAT)):
             return _layerwise_stack(model, features, graph, batch_size)
         if isinstance(model, GIN):

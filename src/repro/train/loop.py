@@ -22,7 +22,6 @@ from ..runtime.pipeline import (
     PipelinedExecutor,
     SerialExecutor,
     StagedExecutor,
-    check_compute,
 )
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
@@ -31,7 +30,7 @@ from ..sampling.fast_sampler import FastNeighborSampler
 from ..sampling.pyg_sampler import PyGNeighborSampler
 from ..slicing.store import FeatureStore
 from ..telemetry import Counters, MetricsRegistry, RunReport
-from ..tensor import Tensor, Workspace, compute_scope, functional as F, workspace_scope
+from ..tensor import Tensor, Workspace, functional as F, workspace_scope
 from .config import ExperimentConfig
 from .inference import sampled_inference
 from .metrics import accuracy
@@ -77,13 +76,6 @@ class Trainer:
     infer_executor:
         Executor policy for :meth:`predict`/:meth:`evaluate` (Section 5.4's
         pipelined inference when set to ``"pipelined"``/``"staged"``).
-    compute:
-        ``"fused"`` (default) — per-batch aggregation plans built in the
-        prepare stage, fused gather→reduce and linear kernels, and a
-        workspace buffer pool recycled across batches; ``"legacy"`` — the
-        original kernels.  :meth:`predict`/:meth:`evaluate` run on the same
-        generation.  Byte-identical training and inference results either
-        way (the twin-kernel contract; pinned by the determinism tests).
     feature_tier:
         ``"ram"`` (default) — the in-RAM fp16 :class:`FeatureStore`;
         ``"mmap"`` — features live in an on-disk slab opened through a
@@ -113,7 +105,6 @@ class Trainer:
         seed: int = 0,
         tracer: Optional[Tracer] = None,
         infer_executor: str = "serial",
-        compute: str = "fused",
         probes: Optional[ProbeSampler] = None,
         prepare_workers: Optional[int] = None,
         mp_start_method: str = "spawn",
@@ -127,10 +118,8 @@ class Trainer:
             raise ValueError(f"unknown sampler {sampler!r}")
         if infer_executor not in ("serial", "pipelined", "staged"):
             raise ValueError(f"unknown infer_executor {infer_executor!r}")
-        check_compute(compute)
         if feature_tier not in ("ram", "mmap", "mmap-quant"):
             raise ValueError(f"unknown feature tier {feature_tier!r}")
-        self.compute = compute
         self.dataset = dataset
         self.config = config
         self.seed = seed
@@ -173,7 +162,6 @@ class Trainer:
                 device=self.device,
                 tracer=self.tracer,
                 seed=seed,
-                compute=compute,
                 probes=self.probes,
             )
         elif executor == "multiprocess":
@@ -187,7 +175,6 @@ class Trainer:
                 max_batch_hint=config.batch_size,
                 tracer=self.tracer,
                 seed=seed,
-                compute=compute,
                 probes=self.probes,
                 start_method=mp_start_method,
             )
@@ -203,15 +190,12 @@ class Trainer:
                 max_batch_hint=config.batch_size,
                 tracer=self.tracer,
                 seed=seed,
-                compute=compute,
                 probes=self.probes,
             )
         # One pool per trainer, shared across batches/epochs; counters land
         # in the executor's cumulative registry.
-        self._workspace = (
-            Workspace(metrics=self._executor.metrics) if compute == "fused" else None
-        )
-        if self.probes is not None and self._workspace is not None:
+        self._workspace = Workspace(metrics=self._executor.metrics)
+        if self.probes is not None:
             self._workspace.register_probes(self.probes)
         # Tiered stores report hit/miss/bytes and mmap-wait into the
         # executor's registry (so EpochStats attribution sees them) and
@@ -259,17 +243,16 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def _train_fn(self) -> Callable[[DeviceBatch], float]:
-        model, optimizer = self.model, self.optimizer
-        mode, workspace = self.compute, self._workspace
+        model, optimizer, workspace = self.model, self.optimizer, self._workspace
 
         def step(batch: DeviceBatch) -> float:
             model.train()
             optimizer.zero_grad()
             x = Tensor(batch.xs.data)
-            # Forward/backward run under the step's compute context: fused
-            # kernels + pooled buffers (released on scope exit — nothing on
-            # the tape outlives the step: parameter grads are copies).
-            with compute_scope(mode), workspace_scope(workspace):
+            # Forward/backward draw kernel outputs from the step's pool
+            # (released on scope exit — nothing on the tape outlives the
+            # step: parameter grads are copies).
+            with workspace_scope(workspace):
                 out = model(x, batch.mfg.adjs)
                 loss = F.nll_loss(out, batch.ys.data)
                 loss.backward()
@@ -315,7 +298,6 @@ class Trainer:
                 "num_workers": self.num_workers,
                 "prepare_workers": self.prepare_workers,
                 "seed": self.seed,
-                "compute": self.compute,
                 "feature_tier": self.feature_tier,
             },
         )
@@ -334,8 +316,7 @@ class Trainer:
         fanouts: Optional[Sequence[Optional[int]]] = None,
         seed: int = 1234,
     ) -> np.ndarray:
-        """Sampled-inference log-probabilities for ``nodes``, computed on
-        the trainer's ``compute`` kernel generation."""
+        """Sampled-inference log-probabilities for ``nodes``."""
         fanouts = list(fanouts) if fanouts is not None else list(self.config.infer_fanouts)
         overlapped = self.infer_executor != "serial"
         return sampled_inference(
@@ -354,7 +335,6 @@ class Trainer:
             # keeps the historical host-only path.
             device=self.device if overlapped else None,
             num_workers=self.num_workers,
-            compute=self.compute,
         )
 
     def evaluate(

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The reference formulations (benchmarks/reference.py) are the oracle of
+# the byte-identity tests; benches import the same copy.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from repro.datasets import generate_dataset
 from repro.graph import chain_graph, power_law_community_graph, star_graph

@@ -68,45 +68,3 @@ class TestRenderer:
         out = render_timeline(tracer, resources=["gpu", "cpu:0"])
         lines = out.splitlines()
         assert lines[0].strip().startswith("gpu")
-
-
-class TestShimDeprecation:
-    """``repro.runtime.trace`` warns on first import — and only then."""
-
-    def _fresh_import(self):
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.runtime.trace", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.import_module("repro.runtime.trace")
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_warns_exactly_once_on_import(self):
-        warned = self._fresh_import()
-        assert len(warned) == 1
-        assert "repro.telemetry.tracer" in str(warned[0].message)
-
-    def test_cached_reimport_does_not_warn_again(self):
-        import importlib
-        import warnings
-
-        self._fresh_import()  # ensure the module is cached
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.import_module("repro.runtime.trace")
-            from repro.runtime import trace  # noqa: F401
-        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-
-    def test_shim_still_exports_the_api(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.runtime import trace as shim
-
-        assert shim.Tracer is Tracer
-        assert shim.render_timeline is render_timeline
-        assert set(shim.__all__) >= {"TraceEvent", "Tracer", "render_timeline"}

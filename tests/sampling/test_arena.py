@@ -1,7 +1,13 @@
-"""Arena hot-path tests: buffer semantics, equivalence, allocation telemetry."""
+"""Arena hot-path tests: buffer semantics, equivalence, allocation telemetry.
+
+Equivalence is checked against the pre-arena reference sampler in
+``benchmarks/reference.py`` (full-edge lexsort, ``np.unique`` dedup).
+"""
 
 import numpy as np
 import pytest
+
+import reference
 
 from repro.datasets import available_datasets, get_dataset
 from repro.sampling import FastNeighborSampler, SamplerArena
@@ -122,8 +128,6 @@ class TestArenaKernels:
         np.testing.assert_array_equal(src_local, [0, 1, 0])
 
     def test_split_and_copy_paths_match_legacy_kernel(self, small_products):
-        from repro.sampling import expand_frontier_vectorized
-
         graph = small_products.graph
         arena = SamplerArena()
         rng_state = np.random.default_rng(3)
@@ -131,7 +135,7 @@ class TestArenaKernels:
             graph.num_nodes, size=200, replace=False
         ).astype(np.int64)
         for fanout in (None, 1, 5, 50):
-            old = expand_frontier_vectorized(
+            old = reference.expand_frontier_vectorized(
                 graph, frontier, fanout, np.random.default_rng(11)
             )
             new = expand_frontier_arena(
@@ -142,13 +146,13 @@ class TestArenaKernels:
 
 
 # ----------------------------------------------------------------------
-# Determinism: old-fast vs arena-fast, byte-identical MFGs (satellite d)
+# Determinism: reference (pre-arena) vs arena sampler, byte-identical MFGs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", available_datasets())
 def test_arena_and_legacy_mfgs_byte_identical(name):
     dataset = get_dataset(name, scale=0.2, seed=0)
-    legacy = FastNeighborSampler(dataset.graph, [10, 5], use_arena=False)
-    arena = FastNeighborSampler(dataset.graph, [10, 5], use_arena=True)
+    legacy = reference.LegacyFastSampler(dataset.graph, [10, 5])
+    arena = FastNeighborSampler(dataset.graph, [10, 5])
     for index, nodes in enumerate(random_batches(dataset, 50, 64, seed=5)):
         seed = np.random.SeedSequence([9, index])
         mfg_legacy = legacy.sample(nodes, np.random.default_rng(seed))
@@ -177,9 +181,10 @@ class TestExceptionSafety:
 
     @pytest.mark.parametrize("use_arena", [False, True])
     def test_mid_hop_failure_leaves_sampler_reusable(self, small_products, use_arena):
-        sampler = FastNeighborSampler(
-            small_products.graph, [10, 5], use_arena=use_arena
-        )
+        # The reset logic is shared; the reference hop loop exercises it
+        # with a different failure point inside the hop.
+        cls = FastNeighborSampler if use_arena else reference.LegacyFastSampler
+        sampler = cls(small_products.graph, [10, 5])
         nodes = small_products.split.train[:32]
 
         class ExplodingRng:

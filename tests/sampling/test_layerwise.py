@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sampling import FastGCNSampler, LadiesSampler, weighted_segment_mean
-from repro.tensor import Tensor
+from repro.tensor import AggregationPlan, Tensor
 
 SAMPLERS = [FastGCNSampler, LadiesSampler]
 
@@ -91,7 +91,7 @@ class TestWeightedAggregation:
         messages = Tensor(rng.normal(size=(6, 4)).astype(np.float32))
         index = np.array([0, 0, 1, 1, 1, 2])
         weighted = weighted_segment_mean(messages, np.ones(6), index, 3)
-        plain = F.segment_mean(messages, index, 3)
+        plain = F.segment_mean(messages, AggregationPlan.for_segments(index, 3))
         np.testing.assert_allclose(weighted.data, plain.data, rtol=1e-5)
 
     def test_weights_bias_the_mean(self, rng):

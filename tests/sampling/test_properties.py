@@ -131,7 +131,7 @@ class TestSamplerProperties:
 class TestSelectionUniformity:
     """The fanout-selection kernels draw uniform without-replacement samples.
 
-    Covers all three code shapes: the legacy lexsort kernel, the arena
+    Covers all three code shapes: the reference lexsort kernel, the arena
     *split* path (a mix of under- and over-degree segments), and the arena
     whole-array sort *fallback* (every segment over-degree).  For each, the
     per-neighbor selection frequency of an over-degree destination across
@@ -143,15 +143,18 @@ class TestSelectionUniformity:
 
     @staticmethod
     def _kernels():
+        import reference
         from repro.sampling import SamplerArena, expand_frontier_arena
-        from repro.sampling.fast_sampler import expand_frontier_vectorized
 
         arena = SamplerArena()
 
         def arena_kernel(graph, frontier, fanout, rng):
             return expand_frontier_arena(graph, frontier, fanout, rng, arena)
 
-        return {"legacy": expand_frontier_vectorized, "arena": arena_kernel}
+        return {
+            "reference": reference.expand_frontier_vectorized,
+            "arena": arena_kernel,
+        }
 
     @staticmethod
     def _build_graph(degree: int, split_path: bool):

@@ -1,7 +1,5 @@
 """Bottleneck attribution: verdicts, report analysis, rendering."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.telemetry.attribution import (
@@ -133,36 +131,76 @@ class TestAttributeTrace:
         assert attribute_trace(Tracer()) == {}
 
 
+#: One epoch per configuration in a child process.  The tiny serial
+#: compute must not depend on BLAS thread scheduling: with a multi-threaded
+#: BLAS on a loaded host it can run several times slower and flip the
+#: verdict, so the child pins every BLAS pool to one thread (only effective
+#: before numpy is imported, hence the fresh interpreter).
+_VERDICT_SCRIPT = """
+import json
+from dataclasses import replace
+
+from repro.datasets import get_dataset
+from repro.telemetry import Tracer
+from repro.train import Trainer, get_config
+
+out = {}
+for executor, sampler in (("serial", "pyg"), ("staged", "fast")):
+    dataset = get_dataset("arxiv", scale=0.08, seed=0)
+    config = replace(get_config("arxiv", "sage"), batch_size=48)
+    tracer = Tracer()
+    trainer = Trainer(
+        dataset, config, executor=executor, sampler=sampler, tracer=tracer
+    )
+    stats = trainer.train_epoch(0)
+    trainer.shutdown()
+    attr = stats.attribution(tracer)
+    out[executor + "-" + sampler] = {
+        "verdict": attr.verdict,
+        "prep_share": attr.shares["prep"],
+        "stats_verdict": stats.verdict(),
+    }
+print(json.dumps(out))
+"""
+
+
 class TestVerdictFlip:
     """ISSUE acceptance: the verdict flips prep-bound -> compute-bound
     between the standard workflow and the overlapped configuration."""
 
-    def _attribution(self, executor, sampler):
-        from repro.datasets import get_dataset
-        from repro.telemetry import Tracer
-        from repro.train import Trainer, get_config
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-        dataset = get_dataset("arxiv", scale=0.08, seed=0)
-        config = replace(get_config("arxiv", "sage"), batch_size=48)
-        tracer = Tracer()
-        trainer = Trainer(
-            dataset, config, executor=executor, sampler=sampler, tracer=tracer
+        import repro
+
+        env = dict(os.environ)
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
         )
-        stats = trainer.train_epoch(0)
-        trainer.shutdown()
-        return stats.attribution(tracer), stats
+        done = subprocess.run(
+            [sys.executable, "-c", _VERDICT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        return json.loads(done.stdout.strip().splitlines()[-1])
 
-    def test_serial_pyg_is_prep_bound(self):
-        attr, stats = self._attribution("serial", "pyg")
-        assert attr.verdict == "prep-bound"
-        assert stats.verdict() == "prep-bound"
+    def test_serial_pyg_is_prep_bound(self, verdicts):
+        result = verdicts["serial-pyg"]
+        assert result["verdict"] == "prep-bound"
+        assert result["stats_verdict"] == "prep-bound"
 
-    def test_staged_fast_is_not_prep_bound(self):
-        attr, _ = self._attribution("staged", "fast")
-        assert attr.verdict == "compute-bound"
+    def test_staged_fast_is_not_prep_bound(self, verdicts):
+        result = verdicts["staged-fast"]
+        assert result["verdict"] == "compute-bound"
         # Overlap hides preparation: the gpu idles less than the serial
         # workflow's >60%.
-        assert attr.shares["prep"] < 0.4
+        assert result["prep_share"] < 0.4
 
 
 class TestAttributeReport:

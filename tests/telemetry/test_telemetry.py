@@ -1,81 +1,11 @@
-"""Timers and table/bar rendering."""
-
-import time
-
-import pytest
+"""Counters and table/bar rendering."""
 
 from repro.telemetry import (
     Counters,
-    StageTimers,
-    Timer,
     format_bar_chart,
     format_seconds,
     format_table,
 )
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        for _ in range(3):
-            with t:
-                time.sleep(0.002)
-        assert t.count == 3
-        assert t.total >= 0.006
-        assert t.mean == pytest.approx(t.total / 3)
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.total == 0.0 and t.count == 0
-
-    def test_mean_of_empty(self):
-        assert Timer().mean == 0.0
-
-    def test_merge_accumulates_totals_and_counts(self):
-        left, right = Timer(), Timer()
-        left.total, left.count = 1.0, 2
-        right.total, right.count = 0.5, 3
-        left.merge(right)
-        assert left.total == pytest.approx(1.5)
-        assert left.count == 5
-        # The source stopwatch is untouched.
-        assert right.total == pytest.approx(0.5) and right.count == 3
-
-
-class TestStageTimers:
-    def test_named_accumulation(self):
-        timers = StageTimers()
-        with timers.time("sample"):
-            time.sleep(0.001)
-        with timers.time("sample"):
-            pass
-        with timers.time("train"):
-            pass
-        assert timers["sample"].count == 2
-        assert set(timers.totals()) == {"sample", "train"}
-
-    def test_reset_all(self):
-        timers = StageTimers()
-        with timers.time("x"):
-            pass
-        timers.reset()
-        assert timers["x"].total == 0.0
-
-    def test_merge_is_name_wise(self):
-        pool, worker = StageTimers(), StageTimers()
-        with pool.time("sample"):
-            pass
-        with worker.time("sample"):
-            pass
-        with worker.time("slice"):
-            pass
-        pool.merge(worker)
-        assert pool["sample"].count == 2
-        assert pool["slice"].count == 1
-        assert set(pool.totals()) == {"sample", "slice"}
 
 
 class TestFormatting:

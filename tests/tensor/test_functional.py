@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, functional as F
+from repro.tensor import AggregationPlan, Tensor, functional as F
 
 from ..helpers import check_gradient
+
+segments = AggregationPlan.for_segments
 
 
 class TestSoftmaxFamily:
@@ -118,50 +120,54 @@ class TestSegmentOps:
     def test_segment_sum_values(self):
         vals = Tensor(np.arange(8.0).reshape(4, 2))
         idx = np.array([1, 0, 1, 3])
-        out = F.segment_sum(vals, idx, 4).data
+        out = F.segment_sum(vals, segments(idx, 4)).data
         np.testing.assert_allclose(out, [[2, 3], [4, 6], [0, 0], [6, 7]])
 
     def test_segment_mean_empty_segment_is_zero(self):
         vals = Tensor(np.ones((2, 3)))
-        out = F.segment_mean(vals, np.array([0, 0]), 3).data
+        out = F.segment_mean(vals, segments([0, 0], 3)).data
         np.testing.assert_allclose(out[1:], 0.0)
         np.testing.assert_allclose(out[0], 1.0)
 
     def test_segment_max_values(self):
         vals = Tensor(np.array([[1.0, -5.0], [3.0, 2.0], [2.0, 9.0]]))
         idx = np.array([0, 0, 1])
-        out = F.segment_max(vals, idx, 2).data
+        out = F.segment_max(vals, segments(idx, 2)).data
         np.testing.assert_allclose(out, [[3.0, 2.0], [2.0, 9.0]])
 
     def test_segment_sum_grad(self, rng):
         idx = np.array([0, 0, 1, 2, 2, 2])
-        check_gradient(lambda x: (F.segment_sum(x, idx, 4) ** 2).sum(), (6, 3), rng)
+        plan = segments(idx, 4)
+        check_gradient(lambda x: (F.segment_sum(x, plan) ** 2).sum(), (6, 3), rng)
 
     def test_segment_mean_grad(self, rng):
         idx = np.array([0, 0, 1, 2, 2, 2])
-        check_gradient(lambda x: (F.segment_mean(x, idx, 4) ** 2).sum(), (6, 3), rng)
+        plan = segments(idx, 4)
+        check_gradient(lambda x: (F.segment_mean(x, plan) ** 2).sum(), (6, 3), rng)
 
     def test_segment_max_grad(self, rng):
         idx = np.array([0, 0, 1, 2, 2, 2])
-        check_gradient(lambda x: (F.segment_max(x, idx, 3) ** 2).sum(), (6, 2), rng)
+        plan = segments(idx, 3)
+        check_gradient(lambda x: (F.segment_max(x, plan) ** 2).sum(), (6, 2), rng)
 
     def test_segment_softmax_normalizes_per_segment(self, rng):
         scores = Tensor(rng.normal(size=10))
         idx = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 3])
-        out = F.segment_softmax(scores, idx, 4).data
+        out = F.segment_softmax(scores, segments(idx, 4)).data
         for seg in range(4):
             np.testing.assert_allclose(out[idx == seg].sum(), 1.0, rtol=1e-5)
 
     def test_segment_softmax_grad(self, rng):
         idx = np.array([0, 0, 1, 1, 1, 2])
         w = rng.normal(size=6)
+        plan = segments(idx, 3)
         check_gradient(
-            lambda x: (F.segment_softmax(x, idx, 3) * Tensor(w)).sum(), (6,), rng
+            lambda x: (F.segment_softmax(x, plan) * Tensor(w)).sum(), (6,), rng
         )
 
     def test_segment_softmax_rejects_2d(self):
         with pytest.raises(ValueError):
-            F.segment_softmax(Tensor(np.zeros((3, 2))), np.zeros(3, dtype=int), 2)
+            F.segment_softmax(Tensor(np.zeros((3, 2))), segments([0, 0, 0], 2))
 
     def test_gather_rows_matches_fancy_index(self, rng):
         x = Tensor(rng.normal(size=(6, 4)))

@@ -1,14 +1,14 @@
-"""Plan/fused kernels vs the legacy generation: bitwise twins.
+"""Plan/fused kernels vs the per-call reference kernels: bit-identical.
 
-The compute path selection (``compute="fused"`` vs ``"legacy"``) must not
-change a single bit of any training result, the same contract as the
-sampler's ``use_arena`` twin.  These tests pin:
+The plan and fused kernels are performance rewrites only: they must not
+change a single bit of any result relative to the reference formulations
+in ``benchmarks/reference.py``.  These tests pin:
 
-- every plan/fused kernel against its legacy counterpart with
+- every plan/fused kernel against its reference kernel with
   ``np.array_equal`` (not allclose) across random shapes, empty segments,
   single-edge segments, float32/float64 and non-contiguous inputs;
-- the fused linear forward/backward against the legacy op-chain at the
-  autograd level;
+- the functional segment ops and the fused linear node against the
+  reference autograd ops (forward and gradients);
 - the :class:`~repro.tensor.workspace.Workspace` pool semantics.
 """
 
@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from repro.tensor import (
     AggregationPlan,
     Tensor,
     Workspace,
-    compute_scope,
     current_workspace,
     functional as F,
     kernels,
@@ -58,44 +58,44 @@ class TestPlanKernelsBitwise:
     def test_plan_segment_sum(self, case):
         x, src, dst, plan = case
         messages = x[src]
-        legacy = kernels.segment_sum(messages, dst, plan.n_dst)
-        np.testing.assert_array_equal(kernels.plan_segment_sum(messages, plan), legacy)
+        expected = reference.segment_sum(messages, dst, plan.n_dst)
+        np.testing.assert_array_equal(kernels.plan_segment_sum(messages, plan), expected)
 
     @settings(max_examples=80, deadline=None)
     @given(plan_case())
     def test_plan_segment_mean(self, case):
         x, src, dst, plan = case
         messages = x[src]
-        legacy = kernels.segment_mean(messages, dst, plan.n_dst)
-        np.testing.assert_array_equal(kernels.plan_segment_mean(messages, plan), legacy)
+        expected = reference.segment_mean(messages, dst, plan.n_dst)
+        np.testing.assert_array_equal(kernels.plan_segment_mean(messages, plan), expected)
 
     @settings(max_examples=80, deadline=None)
     @given(plan_case())
     def test_plan_segment_max(self, case):
         x, src, dst, plan = case
         messages = x[src]
-        legacy_out, legacy_arg = kernels.segment_max(messages, dst, plan.n_dst)
+        ref_out, ref_arg = reference.segment_max(messages, dst, plan.n_dst)
         out, arg = kernels.plan_segment_max(messages, plan)
-        np.testing.assert_array_equal(out, legacy_out)
-        np.testing.assert_array_equal(arg, legacy_arg)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(arg, ref_arg)
         out2, arg2 = kernels.plan_segment_max(messages, plan, compute_argmax=False)
-        np.testing.assert_array_equal(out2, legacy_out)
+        np.testing.assert_array_equal(out2, ref_out)
         assert arg2 is None
 
     @settings(max_examples=80, deadline=None)
     @given(plan_case())
     def test_fused_gather_segment_sum(self, case):
         x, src, dst, plan = case
-        legacy = kernels.segment_sum(x[src], dst, plan.n_dst)
-        np.testing.assert_array_equal(kernels.fused_gather_segment_sum(x, plan), legacy)
+        expected = reference.segment_sum(x[src], dst, plan.n_dst)
+        np.testing.assert_array_equal(kernels.fused_gather_segment_sum(x, plan), expected)
 
     @settings(max_examples=80, deadline=None)
     @given(plan_case())
     def test_fused_gather_segment_mean(self, case):
         x, src, dst, plan = case
-        legacy = kernels.segment_mean(x[src], dst, plan.n_dst)
+        expected = reference.segment_mean(x[src], dst, plan.n_dst)
         np.testing.assert_array_equal(
-            kernels.fused_gather_segment_mean(x, plan), legacy
+            kernels.fused_gather_segment_mean(x, plan), expected
         )
 
     @settings(max_examples=80, deadline=None)
@@ -104,8 +104,8 @@ class TestPlanKernelsBitwise:
         x, src, dst, plan = case
         rng = np.random.default_rng(7)
         g = rng.normal(size=(plan.n_dst, x.shape[1])).astype(x.dtype)
-        legacy = kernels.scatter_add_rows(g[dst], src, plan.n_src)
-        np.testing.assert_array_equal(kernels.fused_gather_scatter_add(g, plan), legacy)
+        expected = kernels.scatter_add_rows(g[dst], src, plan.n_src)
+        np.testing.assert_array_equal(kernels.fused_gather_scatter_add(g, plan), expected)
 
     def test_1d_plan_sum(self):
         rng = np.random.default_rng(0)
@@ -113,8 +113,8 @@ class TestPlanKernelsBitwise:
         src = rng.integers(0, 8, size=30).astype(np.int64)
         plan = AggregationPlan(src, dst, 8, 5)
         vals = rng.normal(size=30).astype(np.float64)
-        legacy = kernels.segment_sum(vals, dst, 5)
-        np.testing.assert_array_equal(kernels.plan_segment_sum(vals, plan), legacy)
+        expected = reference.segment_sum(vals, dst, 5)
+        np.testing.assert_array_equal(kernels.plan_segment_sum(vals, plan), expected)
 
     def test_single_edge_segments(self):
         # Every destination has exactly one incoming edge.
@@ -182,7 +182,7 @@ def _autograd_pair(x_np, plan, op):
 
 
 class TestFunctionalPlanPaths:
-    """Autograd-level equality: the plan kwarg must not change any bit."""
+    """Autograd-level equality: plan ops vs the reference ops, every bit."""
 
     def _random_case(self, seed, dtype=np.float32):
         rng = np.random.default_rng(seed)
@@ -197,7 +197,7 @@ class TestFunctionalPlanPaths:
     def test_gather_segment_matches_unfused(self, agg, dtype):
         x, src, dst, plan = self._random_case(3, dtype)
         fused_op = getattr(F, f"gather_segment_{agg}")
-        seg_op = getattr(F, f"segment_{agg}")
+        seg_op = getattr(reference, f"tensor_segment_{agg}")
 
         def unfused(t, _):
             return seg_op(F.gather_rows(t, src), dst, plan.n_dst)
@@ -218,10 +218,10 @@ class TestFunctionalPlanPaths:
         logits = rng.normal(size=n_edges).astype(dtype)
 
         def with_plan(t, p):
-            return F.segment_softmax(t, dst, n_dst, plan=p)
+            return F.segment_softmax(t, p)
 
         def without_plan(t, _):
-            return F.segment_softmax(t, dst, n_dst)
+            return reference.tensor_segment_softmax(t, dst, n_dst)
 
         out_f, grad_f = _autograd_pair(logits, plan, with_plan)
         out_l, grad_l = _autograd_pair(logits, plan, without_plan)
@@ -233,13 +233,12 @@ class TestFunctionalPlanPaths:
     def test_segment_ops_plan_kwarg_matches(self, agg, dtype):
         x, src, dst, plan = self._random_case(5, dtype)
         messages = x[src]
-        seg_op = getattr(F, f"segment_{agg}")
 
         def with_plan(t, p):
-            return seg_op(t, dst, plan.n_dst, plan=p)
+            return getattr(F, f"segment_{agg}")(t, p)
 
         def without_plan(t, _):
-            return seg_op(t, dst, plan.n_dst)
+            return getattr(reference, f"tensor_segment_{agg}")(t, dst, plan.n_dst)
 
         out_f, grad_f = _autograd_pair(messages, plan, with_plan)
         out_l, grad_l = _autograd_pair(messages, plan, without_plan)
@@ -261,11 +260,12 @@ class TestFusedLinear:
             x = Tensor(x_np.copy(), requires_grad=True)
             w = Tensor(w_np.copy(), requires_grad=True)
             b = Tensor(b_np.copy(), requires_grad=True) if bias else None
-            with compute_scope("fused" if fused else "legacy"):
+            if fused:
+                out = F.linear_relu(x, w, b) if relu else F.linear(x, w, b)
+            else:
+                out = reference.tensor_linear(x, w, b)
                 if relu:
-                    out = F.linear_relu(x, w, b) if fused else F.linear(x, w, b).relu()
-                else:
-                    out = F.linear(x, w, b)
+                    out = out.relu()
             out.backward(np.ones_like(out.data))
             return (
                 out.data.copy(),
@@ -275,8 +275,8 @@ class TestFusedLinear:
             )
 
         fused_res = run(True)
-        legacy_res = run(False)
-        for got, want in zip(fused_res, legacy_res):
+        reference_res = run(False)
+        for got, want in zip(fused_res, reference_res):
             if want is None:
                 assert got is None
             else:
@@ -379,8 +379,3 @@ class TestWorkspace:
         # temporaries all come from the pool.
         assert ws.stats["misses"] >= 1
         assert ws.stats["buffers_out"] == 0
-
-    def test_compute_scope_validation(self):
-        with pytest.raises(ValueError):
-            with compute_scope("turbo"):
-                pass

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor import kernels
+from repro.tensor import AggregationPlan, kernels
+
+segments = AggregationPlan.for_segments
 
 
 def reference_scatter_add(values, index, n_rows):
@@ -95,19 +97,19 @@ class TestScatterAdd:
 class TestSegmentReductions:
     def test_counts(self):
         np.testing.assert_array_equal(
-            kernels.segment_counts(np.array([0, 2, 2, 2]), 4), [1, 0, 3, 0]
+            segments([0, 2, 2, 2], 4).counts, [1, 0, 3, 0]
         )
 
     def test_mean_divides_by_count(self):
         vals = np.array([[2.0], [4.0], [10.0]], dtype=np.float32)
-        out = kernels.segment_mean(vals, np.array([0, 0, 1]), 3)
+        out = kernels.plan_segment_mean(vals, segments([0, 0, 1], 3))
         np.testing.assert_allclose(out, [[3.0], [10.0], [0.0]])
 
     @settings(max_examples=40, deadline=None)
     @given(scatter_case())
     def test_segment_max_matches_reference(self, case):
         values, index, n_rows = case
-        out, argmax = kernels.segment_max(values, index, n_rows)
+        out, argmax = kernels.plan_segment_max(values, segments(index, n_rows))
         for seg in range(n_rows):
             members = values[index == seg]
             if len(members) == 0:
@@ -118,20 +120,20 @@ class TestSegmentReductions:
 
     def test_segment_max_argmax_routes_to_element(self):
         values = np.array([[1.0], [9.0], [5.0]], dtype=np.float32)
-        out, argmax = kernels.segment_max(values, np.array([0, 0, 0]), 1)
+        out, argmax = kernels.plan_segment_max(values, segments([0, 0, 0], 1))
         assert argmax[0, 0] == 1
         np.testing.assert_allclose(out[0], [9.0])
 
     def test_segment_max_1d(self):
-        out, argmax = kernels.segment_max(
-            np.array([3.0, 7.0, 1.0], dtype=np.float32), np.array([1, 1, 0]), 2
+        out, argmax = kernels.plan_segment_max(
+            np.array([3.0, 7.0, 1.0], dtype=np.float32), segments([1, 1, 0], 2)
         )
         np.testing.assert_allclose(out, [1.0, 7.0])
         np.testing.assert_array_equal(argmax, [2, 1])
 
     def test_segment_max_empty(self):
-        out, argmax = kernels.segment_max(
-            np.empty((0, 2), dtype=np.float32), np.empty(0, dtype=np.int64), 3
+        out, argmax = kernels.plan_segment_max(
+            np.empty((0, 2), dtype=np.float32), segments([], 3)
         )
         assert out.shape == (3, 2)
         assert (argmax == -1).all()

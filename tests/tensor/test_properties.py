@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.tensor import Tensor, functional as F
+from repro.tensor import AggregationPlan, Tensor, functional as F
+
+segments = AggregationPlan.for_segments
 
 
 def finite_arrays(shape):
@@ -81,7 +83,7 @@ class TestGradientProperties:
         index = np.asarray(index)
         x = Tensor(values, requires_grad=True)
         coeff = np.arange(4.0).reshape(4, 1)
-        (F.segment_sum(x, index, 4) * Tensor(coeff)).sum().backward()
+        (F.segment_sum(x, segments(index, 4)) * Tensor(coeff)).sum().backward()
         expected = np.broadcast_to(coeff[index], values.shape)
         np.testing.assert_allclose(x.grad, expected, atol=1e-12)
 

@@ -77,9 +77,54 @@ class TestSampledInference:
         np.testing.assert_allclose(sampled, full.select(nodes), rtol=1e-3, atol=1e-4)
 
 
+#: kernels the plan path runs; every other kernel (per-call segment setup,
+#: scatter-add of materialized messages) means a path fell off the plans
+PLAN_FAMILY = {
+    "plan_segment_sum",
+    "plan_segment_mean",
+    "plan_segment_max",
+    "fused_gather_segment_sum",
+    "fused_gather_segment_mean",
+    "fused_gather_scatter_add",
+    "linear_forward",
+    "linear_backward",
+}
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Names of every ``repro.tensor.kernels`` function called from now on."""
+    from repro.tensor import kernels
+
+    calls = []
+    for name in kernels.__all__:
+        fn = getattr(kernels, name)
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def _guard_config():
+    from dataclasses import replace
+
+    from repro.train import get_config
+
+    return replace(
+        get_config("arxiv", "sage"),
+        batch_size=32,
+        hidden_channels=16,
+        num_layers=2,
+        train_fanouts=(6, 4),
+    )
+
+
 class TestPlanPathGuard:
-    """Inference must not silently fall back to the legacy kernels: the
-    default compute builds aggregation plans, ``compute="legacy"`` none."""
+    """No execution path may silently fall back to per-call kernels: each
+    builds aggregation plans and runs only the plan kernel family."""
 
     @pytest.mark.parametrize("executor", ["serial", "pipelined", "staged"])
     def test_default_compute_builds_plans(self, trained_setup, executor):
@@ -93,28 +138,19 @@ class TestPlanPathGuard:
         plan_build = metrics.get("stage_seconds", stage="plan_build")
         assert plan_build is not None and plan_build.count == 2  # one per batch
 
-    def test_legacy_compute_builds_none(self, trained_setup):
-        ds, model = trained_setup
-        metrics = MetricsRegistry()
-        sampled_inference(
-            model, ds.features, ds.graph, ds.split.test[:64], [5, 5],
-            batch_size=32, metrics=metrics, compute="legacy",
-        )
-        assert metrics.value("aggregation_plans_built") == 0
-        assert metrics.get("stage_seconds", stage="plan_build") is None
-
     def test_unknown_compute_rejected(self, trained_setup):
+        """There is one kernel generation: no entry point takes a
+        ``compute`` selector any more."""
         ds, model = trained_setup
-        with pytest.raises(ValueError, match="compute mode"):
+        with pytest.raises(TypeError, match="compute"):
             sampled_inference(
                 model, ds.features, ds.graph, ds.split.test[:8], [5, 5],
-                compute="fast",
+                compute="legacy",
             )
+        with pytest.raises(TypeError, match="compute"):
+            layerwise_full_inference(model, ds.features, ds.graph, compute="legacy")
 
-    @pytest.mark.parametrize("compute, expected", [("fused", True), ("legacy", False)])
-    def test_layerwise_builds_plans_only_when_fused(
-        self, trained_setup, monkeypatch, compute, expected
-    ):
+    def test_layerwise_builds_plans(self, trained_setup, monkeypatch, kernel_calls):
         ds, model = trained_setup
         built = []
         build = stages.build_aggregation_plans
@@ -124,8 +160,28 @@ class TestPlanPathGuard:
             return build(mfg, metrics=metrics)
 
         monkeypatch.setattr(stages, "build_aggregation_plans", counting)
-        layerwise_full_inference(model, ds.features, ds.graph, compute=compute)
-        assert bool(built) is expected
+        layerwise_full_inference(model, ds.features, ds.graph)
+        assert built
+        assert kernel_calls and set(kernel_calls) <= PLAN_FAMILY
+
+    def test_ddp_train_epoch_runs_on_plans(self, tiny_dataset, kernel_calls):
+        from repro.train import DDPTrainer
+
+        ddp = DDPTrainer(tiny_dataset, _guard_config(), num_ranks=2, seed=0)
+        ddp.train_epoch(0)
+        assert ddp.metrics.value("aggregation_plans_built") > 0
+        assert kernel_calls and set(kernel_calls) <= PLAN_FAMILY
+
+    def test_fullbatch_train_epoch_runs_on_plans(self, tiny_dataset, kernel_calls):
+        from repro.train import FullBatchTrainer
+
+        trainer = FullBatchTrainer(tiny_dataset, _guard_config(), seed=0)
+        trainer.train_epoch()
+        trainer.train_epoch()
+        plans = {id(adj.plan) for adj in trainer._layers}
+        assert None not in {adj.plan for adj in trainer._layers}
+        assert len(plans) == 1  # one plan, built once, shared by every layer
+        assert kernel_calls and set(kernel_calls) <= PLAN_FAMILY
 
 
 class TestLayerwiseFullInference:
