@@ -55,7 +55,7 @@ from reference import legacy_compute, segment_sum  # noqa: E402
 from repro.datasets import get_dataset  # noqa: E402
 from repro.models import build_model  # noqa: E402
 from repro.nn import Adam  # noqa: E402
-from repro.runtime import Device, PipelinedExecutor  # noqa: E402
+from repro.runtime import Device, build_pipeline  # noqa: E402
 from repro.sampling import FastNeighborSampler  # noqa: E402
 from repro.slicing import FeatureStore  # noqa: E402
 from repro.tensor import (  # noqa: E402
@@ -194,15 +194,16 @@ def _time_epochs(dataset, store, mode: dict) -> dict[str, tuple[float, float]]:
     for key, (use_reference, use_pool) in EPOCH_CONFIGS.items():
         device = Device(transfer_bandwidth=TRANSFER_BANDWIDTH)
         devices.append(device)
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+            FANOUTS,
             store,
             device,
             num_workers=NUM_WORKERS,
-            max_batch_hint=BATCH_SIZE,
-            seed=0,
+            max_batch=BATCH_SIZE,
         )
-        workspace = Workspace(metrics=executor.metrics) if use_pool else None
+        workspace = Workspace(metrics=executor.ctx.metrics) if use_pool else None
         runs[key] = (executor, use_reference, workspace, [], [])
     try:
         for rep in range(mode["reps"] + 1):  # rep 0 is the warm-up

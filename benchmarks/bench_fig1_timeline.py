@@ -13,13 +13,7 @@ import pytest
 
 from repro.models import build_model
 from repro.nn import Adam
-from repro.runtime import (
-    Device,
-    PipelinedExecutor,
-    SerialExecutor,
-    Tracer,
-    render_timeline,
-)
+from repro.runtime import Device, Tracer, build_pipeline, render_timeline
 from repro.sampling import FastNeighborSampler, PyGNeighborSampler
 from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
@@ -28,6 +22,7 @@ from common import emit
 
 BENCH_DMA_BW = 25e6
 NUM_BATCHES = 8
+FANOUTS = [15, 10, 5]
 
 
 def _train_fn(dataset):
@@ -63,8 +58,12 @@ def run_both(dataset):
 
     serial_tracer = Tracer()
     device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
-    serial = SerialExecutor(
-        PyGNeighborSampler(dataset.graph, [15, 10, 5]), store, device,
+    serial = build_pipeline(
+        "serial",
+        lambda: PyGNeighborSampler(dataset.graph, FANOUTS),
+        FANOUTS,
+        store,
+        device,
         tracer=serial_tracer,
     )
     serial_stats = serial.run_epoch(batches, _train_fn(dataset))
@@ -72,12 +71,13 @@ def run_both(dataset):
 
     pipe_tracer = Tracer()
     device = Device(transfer_bandwidth=BENCH_DMA_BW)
-    pipelined = PipelinedExecutor(
-        lambda: FastNeighborSampler(dataset.graph, [15, 10, 5]),
+    pipelined = build_pipeline(
+        "pipelined",
+        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+        FANOUTS,
         store,
         device,
-        num_workers=2,
-        max_batch_hint=192,
+        max_batch=192,
         tracer=pipe_tracer,
     )
     pipe_stats = pipelined.run_epoch(batches, _train_fn(dataset))

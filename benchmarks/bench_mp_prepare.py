@@ -52,7 +52,7 @@ from repro.runtime import (  # noqa: E402
     StagedPipeline,
 )
 from repro.runtime.mp_prepare import estimate_mfg_capacity  # noqa: E402
-from repro.runtime.workers import estimate_max_rows  # noqa: E402
+from repro.runtime.pinned import estimate_max_rows  # noqa: E402
 from repro.sampling import FastNeighborSampler  # noqa: E402
 from repro.slicing import FeatureStore  # noqa: E402
 

@@ -4,8 +4,8 @@ Times the three policies of the staged-pipeline runtime
 (:mod:`repro.runtime.stages`) on both paper workloads:
 
 - ``train``     — full training epochs (sample -> slice -> transfer ->
-  train step) through :class:`SerialExecutor`, :class:`PipelinedExecutor`
-  and :class:`StagedExecutor`;
+  train step) through the ``serial``, ``pipelined`` and ``staged``
+  pipelines of :func:`repro.runtime.build_pipeline`;
 - ``inference`` — sampled-inference epochs (Section 5.4's pipelined
   inference) through :func:`repro.train.sampled_inference` with the same
   three ``executor`` policies.
@@ -44,12 +44,7 @@ from common import BENCH_SCALES, registry_stage_seconds  # noqa: E402
 from repro.datasets import get_dataset  # noqa: E402
 from repro.models import build_model  # noqa: E402
 from repro.nn import Adam  # noqa: E402
-from repro.runtime import (  # noqa: E402
-    Device,
-    PipelinedExecutor,
-    SerialExecutor,
-    StagedExecutor,
-)
+from repro.runtime import Device, build_pipeline  # noqa: E402
 from repro.sampling import FastNeighborSampler  # noqa: E402
 from repro.slicing import FeatureStore  # noqa: E402
 from repro.tensor import Tensor, functional as F  # noqa: E402
@@ -112,18 +107,14 @@ def _make_train_fn(dataset):
 
 
 def _build_executor(variant: str, dataset, store, device, batch_size: int):
-    if variant == "serial":
-        return SerialExecutor(
-            FastNeighborSampler(dataset.graph, FANOUTS), store, device, seed=0
-        )
-    cls = PipelinedExecutor if variant == "pipelined" else StagedExecutor
-    return cls(
+    return build_pipeline(
+        variant,
         lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+        FANOUTS,
         store,
         device,
         num_workers=NUM_WORKERS,
-        max_batch_hint=batch_size,
-        seed=0,
+        max_batch=batch_size,
     )
 
 

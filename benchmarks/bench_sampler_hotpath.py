@@ -43,7 +43,7 @@ from reference import LegacyFastSampler  # noqa: E402
 
 from repro.datasets import get_dataset  # noqa: E402
 from repro.runtime.pinned import PinnedBufferPool  # noqa: E402
-from repro.runtime.workers import estimate_max_rows  # noqa: E402
+from repro.runtime.pinned import estimate_max_rows  # noqa: E402
 from repro.sampling import FastNeighborSampler, PyGNeighborSampler  # noqa: E402
 from repro.slicing import FeatureStore, slice_batch_fused, slice_batch_reference  # noqa: E402
 

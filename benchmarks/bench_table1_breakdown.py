@@ -20,7 +20,7 @@ import pytest
 from repro.nn import Adam
 from repro.models import build_model
 from repro.perfmodel import CONFIG_PYG, TABLE1_REFERENCE, simulate_epoch
-from repro.runtime import Device, SerialExecutor
+from repro.runtime import Device, build_pipeline
 from repro.sampling import PyGNeighborSampler
 from repro.slicing import FeatureStore
 from repro.telemetry import format_table
@@ -42,8 +42,9 @@ def _run_baseline_epoch(dataset, batch_size=256):
     )
     store = FeatureStore(dataset.features, dataset.labels)
     device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
-    sampler = PyGNeighborSampler(dataset.graph, list(config.train_fanouts))
-    executor = SerialExecutor(sampler, store, device, seed=0)
+    fanouts = list(config.train_fanouts)
+    sampler_factory = lambda: PyGNeighborSampler(dataset.graph, fanouts)  # noqa: E731
+    executor = build_pipeline("serial", sampler_factory, fanouts, store, device)
 
     model = build_model(
         "sage", dataset.num_features, config.hidden_channels, dataset.num_classes,

@@ -4,8 +4,8 @@ Measured ladder on the real runtime (products stand-in, metered device):
 
 1. *PyG*             — serial executor, reference sampler, staged slicing.
 2. *+ fast sampling* — serial executor, SALIENT's vectorized sampler.
-3. *+ shared-memory batch prep* — pipelined executor's worker threads with
-   fused slicing into pinned buffers, but synchronous transfers.
+3. *+ shared-memory batch prep* — the pipelined policy's prepare worker
+   threads with fused slicing, but synchronous transfers on the caller.
 4. *+ pipelined transfers* — full SALIENT (async transfer stream at the
    higher DMA efficiency).
 
@@ -21,7 +21,7 @@ import pytest
 from repro.models import build_model
 from repro.nn import Adam
 from repro.perfmodel import ABLATION_STEPS, TABLE3_REFERENCE, simulate_epoch
-from repro.runtime import Device, PipelinedExecutor, SerialExecutor
+from repro.runtime import Device, build_pipeline
 from repro.sampling import FastNeighborSampler, PyGNeighborSampler
 from repro.slicing import FeatureStore
 from repro.telemetry import format_table
@@ -68,61 +68,32 @@ def run_rung(dataset, rung: str) -> float:
     batches = _epoch_batches(dataset)
     train_fn = _make_train_fn(dataset)
 
+    sampler_cls = PyGNeighborSampler if rung == "pyg" else FastNeighborSampler
+    factory = lambda: sampler_cls(dataset.graph, FANOUTS)  # noqa: E731
     if rung in ("pyg", "fast"):
         device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
-        sampler_cls = PyGNeighborSampler if rung == "pyg" else FastNeighborSampler
-        executor = SerialExecutor(sampler_cls(dataset.graph, FANOUTS), store, device)
+        executor = build_pipeline("serial", factory, FANOUTS, store, device)
         stats = executor.run_epoch(batches, train_fn)
         device.shutdown()
         return stats.epoch_time
 
     if rung == "shared":
-        # Worker threads prepare batches end-to-end into pinned buffers,
-        # but the main thread still transfers *synchronously* (with the
+        # Worker threads prepare batches end-to-end ahead of the caller,
+        # but the caller still transfers *synchronously* (with the
         # baseline's round-trip assertions) before each training step.
-        import time as _time
-
-        from repro.runtime import QueueClosed
-        from repro.runtime.pinned import PinnedBufferPool
-        from repro.runtime.workers import BatchPreparationPool, estimate_max_rows
-
         device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
-        rows = estimate_max_rows(FANOUTS, 256, store.num_nodes)
-        pinned = PinnedBufferPool(4, rows, store.num_features, 256)
-        pool = BatchPreparationPool(
-            lambda: FastNeighborSampler(dataset.graph, FANOUTS),
-            store,
-            num_workers=2,
-            prefetch_depth=4,
-            pinned_pool=pinned,
+        executor = build_pipeline("pipelined", factory, FANOUTS, store, max_batch=256)
+        stats = executor.run_epoch(
+            batches, lambda sliced: train_fn(device.transfer_batch(sliced))
         )
-        queue, join = pool.run(batches)
-        start = _time.perf_counter()
-        while True:
-            try:
-                prepared = queue.get()
-            except QueueClosed:
-                break
-            device_batch = device.transfer_batch(prepared.sliced, prepared.index)
-            if prepared.buffer is not None:
-                pinned.release(prepared.buffer)
-            train_fn(device_batch)
-        join()
-        elapsed = _time.perf_counter() - start
         device.shutdown()
-        return elapsed
+        return stats.epoch_time
 
     if rung != "pipelined":
         raise ValueError(rung)
     device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=0.0)
-    executor = PipelinedExecutor(
-        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
-        store,
-        device,
-        num_workers=2,
-        prefetch_depth=4,
-        pinned_slots=4,
-        max_batch_hint=256,
+    executor = build_pipeline(
+        "pipelined", factory, FANOUTS, store, device, max_batch=256
     )
     stats = executor.run_epoch(batches, train_fn)
     device.shutdown()

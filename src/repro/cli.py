@@ -288,13 +288,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.datasets import get_dataset
     from repro.models import build_model
     from repro.nn import Adam
-    from repro.runtime import (
-        Device,
-        PipelinedExecutor,
-        SerialExecutor,
-        Tracer,
-        render_timeline,
-    )
+    from repro.runtime import Device, Tracer, build_pipeline, render_timeline
     from repro.sampling import FastNeighborSampler, PyGNeighborSampler
     from repro.slicing import FeatureStore
     from repro.tensor import Tensor, functional as F
@@ -327,36 +321,30 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
         return fn
 
-    tracer = Tracer()
-    device = Device(transfer_bandwidth=25e6, roundtrip_latency=5e-4)
-    serial = SerialExecutor(
-        PyGNeighborSampler(dataset.graph, [15, 10, 5]), store, device, tracer=tracer
+    fanouts = [15, 10, 5]
+    runs = (
+        ("(a) standard workflow", "serial", PyGNeighborSampler, 5e-4),
+        ("\n(b) SALIENT", "pipelined", FastNeighborSampler, 0.0),
     )
-    stats = serial.run_epoch(batches, make_train_fn())
-    device.shutdown()
-    print(
-        f"(a) standard workflow - {stats.epoch_time*1000:.0f} ms, "
-        f"GPU busy {100 * tracer.gpu_utilization():.0f}%"
-    )
-    print(render_timeline(tracer, width=96))
-
-    tracer = Tracer()
-    device = Device(transfer_bandwidth=25e6)
-    pipelined = PipelinedExecutor(
-        lambda: FastNeighborSampler(dataset.graph, [15, 10, 5]),
-        store,
-        device,
-        num_workers=2,
-        max_batch_hint=size,
-        tracer=tracer,
-    )
-    stats = pipelined.run_epoch(batches, make_train_fn())
-    device.shutdown()
-    print(
-        f"\n(b) SALIENT - {stats.epoch_time*1000:.0f} ms, "
-        f"GPU busy {100 * tracer.gpu_utilization():.0f}%"
-    )
-    print(render_timeline(tracer, width=96))
+    for title, executor, sampler_cls, latency in runs:
+        tracer = Tracer()
+        device = Device(transfer_bandwidth=25e6, roundtrip_latency=latency)
+        pipeline = build_pipeline(
+            executor,
+            lambda cls=sampler_cls: cls(dataset.graph, fanouts),
+            fanouts,
+            store,
+            device,
+            max_batch=size,
+            tracer=tracer,
+        )
+        stats = pipeline.run_epoch(batches, make_train_fn())
+        device.shutdown()
+        print(
+            f"{title} - {stats.epoch_time*1000:.0f} ms, "
+            f"GPU busy {100 * tracer.gpu_utilization():.0f}%"
+        )
+        print(render_timeline(tracer, width=96))
     return 0
 
 

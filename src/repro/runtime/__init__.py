@@ -1,4 +1,4 @@
-"""Runtime: queues, pinned buffers, simulated device/streams, executors."""
+"""Runtime: queues, pinned buffers, simulated device/streams, pipelines."""
 
 from .device import Device, DeviceBatch, DeviceTensor, Stream, StreamEvent
 from .feature_cache import (
@@ -13,8 +13,8 @@ from .mp_prepare import (
     WorkerCrashed,
     WorkerTaskError,
 )
-from .pinned import PinnedBuffer, PinnedBufferPool
-from .pipeline import EpochStats, PipelinedExecutor, SerialExecutor, StagedExecutor
+from .pinned import PinnedBuffer, PinnedBufferPool, estimate_max_rows
+from .pipeline import build_pipeline
 from .shm import (
     SharedArena,
     SharedDataset,
@@ -27,6 +27,7 @@ from .queues import BoundedOutputQueue, InputQueue, QueueClosed, StaticPartition
 from .stages import (
     ComputeStage,
     Envelope,
+    EpochStats,
     PrepareStage,
     SampleStage,
     SliceStage,
@@ -36,7 +37,6 @@ from .stages import (
     TransferStage,
 )
 from ..telemetry.tracer import TraceEvent, Tracer, render_timeline
-from .workers import BatchPreparationPool, PreparedBatch, estimate_max_rows
 
 __all__ = [
     "Device",
@@ -47,9 +47,7 @@ __all__ = [
     "PinnedBuffer",
     "PinnedBufferPool",
     "EpochStats",
-    "SerialExecutor",
-    "PipelinedExecutor",
-    "StagedExecutor",
+    "build_pipeline",
     "MultiprocessExecutor",
     "MultiprocessPreparePool",
     "MPPrepareStage",
@@ -68,8 +66,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "render_timeline",
-    "BatchPreparationPool",
-    "PreparedBatch",
     "estimate_max_rows",
     "DeviceFeatureCache",
     "transfer_batch_with_cache",

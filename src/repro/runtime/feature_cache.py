@@ -84,9 +84,20 @@ class DeviceFeatureCache:
         store.slice_features(node_ids, out=resident)
         self.rows = device.to_device(resident).data
         self.num_features = store.num_features
-        self.hits = 0
-        self.misses = 0
-        self.bytes_saved = 0
+
+    # Hit/miss/byte totals are views over the registry counters that
+    # ``transfer_batch_with_cache`` increments (thread-safe, one channel).
+    @property
+    def hits(self) -> int:
+        return int(self.metrics.value("cache_rows", outcome="hit"))
+
+    @property
+    def misses(self) -> int:
+        return int(self.metrics.value("cache_rows", outcome="miss"))
+
+    @property
+    def bytes_saved(self) -> int:
+        return int(self.metrics.value("cache_bytes_saved"))
 
     @property
     def size(self) -> int:
@@ -146,11 +157,8 @@ def transfer_batch_with_cache(
     if len(miss_idx):
         xs[miss_idx] = miss_features.astype(np.float32)
 
-    cache.hits += int(hit.sum())
-    cache.misses += int(len(miss_idx))
     full_bytes = batch.xs[: len(n_id)].nbytes
-    cache.bytes_saved += full_bytes - miss_features.nbytes
-    cache.metrics.counter("cache_rows", outcome="hit").inc(int(hit.sum()))
+    cache.metrics.counter("cache_rows", outcome="hit").inc(len(hit_idx))
     cache.metrics.counter("cache_rows", outcome="miss").inc(int(len(miss_idx)))
     cache.metrics.counter("cache_bytes_saved").inc(full_bytes - miss_features.nbytes)
 

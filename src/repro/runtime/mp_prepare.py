@@ -1,4 +1,4 @@
-"""True multi-core batch preparation: the multiprocess prepare executor.
+"""True multi-core batch preparation: the multiprocess prepare policy.
 
 This module de-simulates the paper's headline scaling result (Section 4.2,
 Table 2): batch preparation — sampling plus slicing — running genuinely in
@@ -20,8 +20,8 @@ share the dataset and the staging slots through POSIX shared memory
 
 Determinism: workers rebuild each batch's generator from the pipeline's
 ``rng_entries(index)`` (``SeedSequence([seed, index])``), the exact policy
-of the single-process executors, so per-batch losses are byte-identical to
-:class:`~repro.runtime.pipeline.SerialExecutor` for the same seed.
+of the single-process policies, so per-batch losses are byte-identical to
+the ``"serial"`` policy for the same seed.
 
 Failure handling: a worker exception travels back as a result message and
 re-raises inside the dispatching stage thread, entering the runtime's
@@ -52,10 +52,9 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..slicing.slicer import SlicedBatch, build_aggregation_plans
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
-from ..telemetry.tracer import Tracer
-from .device import Device
+from .pinned import estimate_max_rows
+from .pipeline import PREFETCH_DEPTH
 from .shm import (
     SharedArena,
     SharedDataset,
@@ -63,15 +62,7 @@ from .shm import (
     decode_mfg,
     encode_mfg,
 )
-from .stages import (
-    ComputeStage,
-    EpochStats,
-    Stage,
-    StagedPipeline,
-    TransferStage,
-    _timed_span,
-)
-from .workers import estimate_max_rows
+from .stages import Stage, _timed_span
 
 __all__ = [
     "WorkerCrashed",
@@ -454,14 +445,14 @@ class MPPrepareStage(Stage):
                 timeout=self.result_timeout
             )
             if spill and "mfg" in spill:
-                ctx.counters.inc("mp_mfg_overflow_batches")
+                ctx.metrics.counter("mp_mfg_overflow_batches").inc()
                 mfg = spill["mfg"]
             else:
                 # Copy the topology out of the slot: the MFG outlives the
                 # slot's recycle-after-DMA, the feature rows do not.
                 mfg = decode_mfg(buffer.header, buffer.mfg_ints)
             if spill and "xs" in spill:
-                ctx.counters.inc("mp_slot_overflow_batches")
+                ctx.metrics.counter("mp_slot_overflow_batches").inc()
                 xs, ys, slot = spill["xs"], spill["ys"], None
                 env.release_buffer()  # slot unused; recycle immediately
             else:
@@ -488,73 +479,55 @@ class MPPrepareStage(Stage):
             "mp_worker_busy_seconds", worker=str(worker_id)
         ).observe(sample_s + slice_s)
         metrics.counter("mp_batches", worker=str(worker_id)).inc()
-        ctx.counters.inc("mp_prepared_batches")
         with _timed_span(ctx, env, "plan_build", resource):
             build_aggregation_plans(env.mfg, metrics=metrics)
 
 
 # ----------------------------------------------------------------------
-# The executor policy
+# The shared-memory owner
 # ----------------------------------------------------------------------
 class MultiprocessExecutor:
-    """Fourth executor policy: multiprocess prepare over shared memory.
+    """Owner of the ``"multiprocess"`` policy's shared-memory segments.
 
-    Same contract as :class:`~repro.runtime.pipeline.PipelinedExecutor`
-    (per-batch losses byte-identical to every other policy for a shared
-    seed), but the prepare stage's parallelism is real: ``num_workers``
+    Creates the read-only dataset segment, the staging-slot segment and
+    the worker processes (with their busy-flag strip), and tears all of
+    them down in :meth:`close` (spawn-safe attach/detach on the worker
+    side).  The pipeline itself comes from
+    :func:`~repro.runtime.pipeline.build_pipeline` with ``shared=`` this
+    object; its per-batch losses are byte-identical to every other policy
+    for a shared seed, but the prepare parallelism is real: ``num_workers``
     OS processes sampling and slicing concurrently, unconstrained by the
-    GIL.  Owns three shared-memory artifacts — the read-only dataset
-    segment, the staging-slot segment, the busy-flag strip — torn down by
-    :meth:`close` (spawn-safe attach/detach on the worker side).
+    GIL.
     """
 
     def __init__(
         self,
         graph: CSRGraph,
         store: FeatureStore,
-        device: Device,
         fanouts: Sequence[Optional[int]],
         num_workers: int = 2,
         sampler: str = "fast",
-        prefetch_depth: int = 4,
-        pinned_slots: Optional[int] = None,
         max_rows_hint: Optional[int] = None,
         max_batch_hint: int = 1024,
-        tracer: Optional[Tracer] = None,
-        seed: int = 0,
-        counters: Optional[Counters] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        probes: Optional[ProbeSampler] = None,
         start_method: str = DEFAULT_START_METHOD,
         result_timeout: float = 120.0,
     ) -> None:
-        if prefetch_depth < 1:
-            raise ValueError("multiprocess prepare requires prefetch_depth >= 1")
-        self.store = store
-        self.device = device
-        self.num_workers = num_workers
-        self.tracer = tracer or Tracer(enabled=False)
-        self.counters = counters if counters is not None else Counters()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.probes = probes if probes is not None and probes.enabled else None
         fanouts = list(fanouts)
         max_rows = max_rows_hint or estimate_max_rows(
             fanouts, max_batch_hint, store.num_nodes
         )
         mfg_capacity = estimate_mfg_capacity(graph, fanouts, max_batch_hint, max_rows)
+        self.result_timeout = result_timeout
         # Slots cover every place an envelope can hold one concurrently:
         # in-flight dispatch threads + the prefetch queue + transfer slack.
-        slots = pinned_slots or (num_workers + prefetch_depth + 2)
         self.pinned_pool = SharedSlotPool(
-            num_slots=slots,
+            num_slots=num_workers + PREFETCH_DEPTH + 2,
             max_rows=max_rows,
             num_features=store.num_features,
             max_batch=max_batch_hint,
             mfg_capacity=mfg_capacity,
             max_layers=len(fanouts),
             feature_dtype=store.feature_dtype,
-            counters=self.counters,
-            metrics=self.metrics,
         )
         self.shared_dataset = SharedDataset.create(graph, store)
         self.client = MultiprocessPreparePool(
@@ -565,33 +538,16 @@ class MultiprocessExecutor:
             sampler=sampler,
             start_method=start_method,
         )
-        if self.probes is not None:
-            self.pinned_pool.register_probes(self.probes)
-            self.client.register_probes(self.probes)
-        rng_entries = lambda index: [seed, index]  # noqa: E731 - shared policy
-        self._pipeline = StagedPipeline(
-            [
-                MPPrepareStage(
-                    self.client,
-                    self.pinned_pool,
-                    rng_entries=rng_entries,
-                    result_timeout=result_timeout,
-                ),
-                TransferStage(device),
-                ComputeStage(),
-            ],
-            prefetch_depth=prefetch_depth,
-            seed=seed,
-            rng_entries=rng_entries,
-            tracer=self.tracer,
-            counters=self.counters,
-            metrics=self.metrics,
-            probes=probes,
-        )
         self._closed = False
 
-    def run_epoch(self, batches: Sequence[np.ndarray], train_fn) -> EpochStats:
-        return self._pipeline.run_epoch(batches, train_fn)
+    def prepare_stage(self, rng_entries: Callable[[int], Sequence[int]]) -> MPPrepareStage:
+        """The prepare stage dispatching to this object's workers."""
+        return MPPrepareStage(
+            self.client,
+            self.pinned_pool,
+            rng_entries=rng_entries,
+            result_timeout=self.result_timeout,
+        )
 
     def close(self) -> None:
         """Stop the workers and free every shared-memory segment."""

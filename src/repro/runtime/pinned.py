@@ -14,13 +14,33 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 
-__all__ = ["PinnedBuffer", "PinnedBufferPool"]
+__all__ = ["PinnedBuffer", "PinnedBufferPool", "estimate_max_rows"]
+
+
+def estimate_max_rows(
+    fanouts: Sequence[Optional[int]], batch_size: int, num_nodes: int
+) -> int:
+    """Upper bound on MFG node count: batch * prod(fanout_i + 1), capped —
+    the feature rows one staging slot must hold.
+
+    The +1 accounts for each frontier node remaining in the next source set
+    (the destination-prefix property). ``None`` fanouts (full neighborhood)
+    cap at the graph size.
+    """
+    bound = batch_size
+    for fanout in fanouts:
+        if fanout is None:
+            return num_nodes
+        bound *= fanout + 1
+        if bound >= num_nodes:
+            return num_nodes
+    return min(bound, num_nodes)
 
 
 @dataclass
@@ -42,12 +62,10 @@ class PinnedBufferPool:
         num_features: int,
         max_batch: int,
         feature_dtype=np.float16,
-        counters: Optional[Counters] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if num_slots < 1:
             raise ValueError("need at least one slot")
-        self.counters = counters if counters is not None else Counters()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_rows = max_rows
         self.num_features = num_features
@@ -79,14 +97,14 @@ class PinnedBufferPool:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._available:
             while not self._free:
-                self.counters.inc("pinned_acquire_waits")
+                self.metrics.counter("pinned_acquire_waits").inc()
                 if deadline is None:
                     self._available.wait()
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._available.wait(timeout=remaining):
                     raise TimeoutError("no pinned buffer became available")
-            self.counters.inc("pinned_acquires")
+            self.metrics.counter("pinned_acquires").inc()
             buffer = self._buffers[self._free.pop()]
             free = len(self._free)
         self.metrics.histogram(
@@ -107,7 +125,7 @@ class PinnedBufferPool:
             if buffer.slot in self._free:
                 raise ValueError(f"slot {buffer.slot} released twice")
             self._free.append(buffer.slot)
-            self.counters.inc("pinned_releases")
+            self.metrics.counter("pinned_releases").inc()
             self._available.notify()
             free = len(self._free)
         self.metrics.gauge("pinned_free_slots").set(float(free))

@@ -1,25 +1,29 @@
-"""Epoch executors: policy configurations over the staged-pipeline runtime.
+"""Executor policies: one builder mapping an executor name to a pipeline.
 
-Every executor here is a thin wiring of :mod:`repro.runtime.stages` — the
-loop body (queues, workers, overlap, error handling, accounting) lives in
-:class:`~repro.runtime.stages.StagedPipeline`, not in the executors:
+Every loop in the repository runs on :class:`~repro.runtime.stages
+.StagedPipeline`; an *executor* is only a choice of stages, prefetch depth
+and staging pool.  :func:`build_pipeline` is the single place that choice
+is made, for training (:class:`~repro.train.loop.Trainer`), sampled
+inference, ``repro timeline`` and the benches:
 
-- :class:`SerialExecutor` reproduces Listing 1 — the standard PyTorch
-  workflow of Figure 1(a): sample, slice (double-copy reference path),
-  transfer, train, strictly in order on the main thread.  Policy:
-  ``prefetch_depth=0``.
-- :class:`PipelinedExecutor` is SALIENT (Figure 1(b)): fused
+- ``"serial"`` reproduces Listing 1 — the standard PyTorch workflow of
+  Figure 1(a): sample, slice, transfer, train, strictly in order on the
+  caller (``prefetch_depth=0``, no staging pool).  Training slices through
+  the double-copy reference path (the paper's baseline); inference keeps
+  the fused slice.
+- ``"pipelined"`` is SALIENT (Figure 1(b)): fused
   :class:`~repro.runtime.stages.PrepareStage` workers fill pinned buffers
   ahead of time; the transfer stream moves batch i+1 to the device while
-  the main thread trains on batch i.  Policy: fused prepare +
-  ``prefetch_depth=N``.
-- :class:`StagedExecutor` runs the fully split dataflow (sample → slice →
-  transfer → train as four stages, each with its own workers) — the
-  explicit-stage configuration benchmarks compare against the fused one.
+  the caller computes batch i.
+- ``"staged"`` splits prepare into :class:`~repro.runtime.stages
+  .SampleStage` → :class:`~repro.runtime.stages.SliceStage`, each with its
+  own workers and a bounded queue between them.
+- ``"multiprocess"`` runs the prepare stage in worker *processes* over the
+  shared-memory segments of a :class:`~repro.runtime.mp_prepare
+  .MultiprocessExecutor`.
 
-All three record per-stage times (the Table 1 measurement: "time spent on
-it from the perspective of the main thread") into one
-:class:`~repro.runtime.stages.EpochStats` accounting path, and share batch
+All policies record per-stage times into one
+:class:`~repro.runtime.stages.EpochStats` accounting path and share batch
 seeding, so their per-batch losses are identical for a shared seed.
 """
 
@@ -27,160 +31,110 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from ..sampling.base import NeighborSamplerBase
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
-from .device import Device, DeviceBatch
-from .pinned import PinnedBufferPool
+from .device import Device
+from .pinned import PinnedBufferPool, estimate_max_rows
 from .stages import (
     ComputeStage,
-    EpochStats,
     PrepareStage,
     SampleStage,
     SliceStage,
     StagedPipeline,
     TransferStage,
 )
-from .workers import estimate_max_rows
 
-__all__ = [
-    "EpochStats",
-    "SerialExecutor",
-    "PipelinedExecutor",
-    "StagedExecutor",
-]
+__all__ = ["EXECUTORS", "PINNED_SLOTS", "PREFETCH_DEPTH", "build_pipeline"]
 
-TrainFn = Callable[[DeviceBatch], float]
-
-
-class SerialExecutor:
-    """Listing-1 workflow: every stage blocks the main thread (depth 0)."""
-
-    def __init__(
-        self,
-        sampler: NeighborSamplerBase,
-        store: FeatureStore,
-        device: Device,
-        tracer: Optional[Tracer] = None,
-        seed: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
-        probes: Optional[ProbeSampler] = None,
-    ) -> None:
-        self.sampler = sampler
-        self.store = store
-        self.device = device
-        self.tracer = tracer or Tracer(enabled=False)
-        self.seed = seed
-        self.probes = probes
-        self._pipeline = StagedPipeline(
-            [
-                SampleStage(lambda: sampler),
-                SliceStage(store, reference=True),
-                TransferStage(device),
-                ComputeStage(),
-            ],
-            prefetch_depth=0,
-            seed=seed,
-            tracer=self.tracer,
-            metrics=metrics,
-            probes=probes,
-        )
-        self.counters = self._pipeline.ctx.counters
-        self.metrics = self._pipeline.ctx.metrics
-
-    def run_epoch(self, batches: Sequence[np.ndarray], train_fn: TrainFn) -> EpochStats:
-        return self._pipeline.run_epoch(batches, train_fn)
+#: executor names :func:`build_pipeline` accepts
+EXECUTORS = ("serial", "pipelined", "staged", "multiprocess")
+#: bounded-queue depth of every overlapped policy
+PREFETCH_DEPTH = 4
+#: pinned staging slots of the threaded overlapped policies
+PINNED_SLOTS = 4
 
 
-class _PooledExecutor:
-    """Shared wiring for the overlapped policies: pinned pool + pipeline."""
+def build_pipeline(
+    executor: str,
+    sampler_factory: Optional[Callable[[], NeighborSamplerBase]],
+    fanouts: Sequence[Optional[int]],
+    store: FeatureStore,
+    device: Optional[Device] = None,
+    *,
+    compute: str = "train",
+    num_workers: int = 2,
+    max_batch: int = 1024,
+    seed: int = 0,
+    rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
+    tracer: Optional[Tracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    probes: Optional[ProbeSampler] = None,
+    shared=None,
+) -> StagedPipeline:
+    """The :class:`StagedPipeline` for ``executor``.
 
-    def __init__(
-        self,
-        sampler_factory: Callable[[], NeighborSamplerBase],
-        store: FeatureStore,
-        device: Device,
-        num_workers: int = 2,
-        prefetch_depth: int = 4,
-        pinned_slots: int = 4,
-        max_rows_hint: Optional[int] = None,
-        max_batch_hint: int = 1024,
-        tracer: Optional[Tracer] = None,
-        seed: int = 0,
-        counters: Optional[Counters] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        probes: Optional[ProbeSampler] = None,
-    ) -> None:
-        self.store = store
-        self.device = device
-        self.tracer = tracer or Tracer(enabled=False)
-        #: one shared sink for sampler, slicer and pinned-pool telemetry
-        self.counters = counters if counters is not None else Counters()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.probes = probes
-        sizing_probe = sampler_factory()
-        max_rows = max_rows_hint or estimate_max_rows(
-            sizing_probe.fanouts, max_batch_hint, store.num_nodes
-        )
-        self.pinned_pool = PinnedBufferPool(
-            num_slots=pinned_slots,
-            max_rows=max_rows,
-            num_features=store.num_features,
-            max_batch=max_batch_hint,
-            feature_dtype=store.feature_dtype,
-            counters=self.counters,
-            metrics=self.metrics,
-        )
-        if probes is not None and probes.enabled:
-            self.pinned_pool.register_probes(probes)
-        self._pipeline = StagedPipeline(
-            self._build_stages(sampler_factory, num_workers),
-            prefetch_depth=prefetch_depth,
-            seed=seed,
-            tracer=self.tracer,
-            counters=self.counters,
-            metrics=self.metrics,
-            probes=probes,
-        )
-
-    def _build_stages(self, sampler_factory, num_workers):
-        raise NotImplementedError
-
-    def run_epoch(self, batches: Sequence[np.ndarray], train_fn: TrainFn) -> EpochStats:
-        return self._pipeline.run_epoch(batches, train_fn)
-
-
-class PipelinedExecutor(_PooledExecutor):
-    """SALIENT's overlapped pipeline (Sections 4.2-4.3): fused prepare
-    workers (one thread owns a batch's sampling *and* pinned slicing
-    end-to-end) feeding the transfer/compute overlap."""
-
-    def _build_stages(self, sampler_factory, num_workers):
-        return [
-            PrepareStage(
-                sampler_factory,
-                self.store,
-                pinned_pool=self.pinned_pool,
-                workers=num_workers,
-            ),
-            TransferStage(self.device),
-            ComputeStage(),
+    ``compute`` names the final stage (``"train"`` or ``"infer"``); serial
+    training slices through the reference double copy.  With a ``device``
+    the pipeline ends in a transfer stage, and the overlapped policies
+    stage batches in a :data:`PINNED_SLOTS`-slot pinned pool sized from
+    ``fanouts`` and ``max_batch``.  ``"multiprocess"`` takes its prepare
+    workers and staging slots from ``shared`` (a
+    :class:`~repro.runtime.mp_prepare.MultiprocessExecutor`, which owns and
+    closes them); the other policies build one sampler per worker from
+    ``sampler_factory``.
+    """
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}")
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    probes = probes if probes is not None and probes.enabled else None
+    rng_entries = rng_entries or (lambda index: [seed, index])
+    pool = None
+    if executor == "multiprocess":
+        pool = shared.pinned_pool
+        pool.metrics = metrics  # slot waits land in this pipeline's registry
+        stages = [shared.prepare_stage(rng_entries)]
+        if probes is not None:
+            shared.client.register_probes(probes)
+    elif executor == "serial":
+        stages = [
+            SampleStage(sampler_factory),
+            SliceStage(store, reference=compute == "train"),
         ]
-
-
-class StagedExecutor(_PooledExecutor):
-    """Split dataflow: sample and slice as separate stages with their own
-    worker pools and a bounded queue between them — the explicit
-    stage-per-resource configuration of the staged runtime."""
-
-    def _build_stages(self, sampler_factory, num_workers):
-        return [
-            SampleStage(sampler_factory, workers=num_workers),
-            SliceStage(self.store, pinned_pool=self.pinned_pool),
-            TransferStage(self.device),
-            ComputeStage(),
-        ]
+    else:
+        if device is not None:
+            pool = PinnedBufferPool(
+                num_slots=PINNED_SLOTS,
+                max_rows=estimate_max_rows(fanouts, max_batch, store.num_nodes),
+                num_features=store.num_features,
+                max_batch=max_batch,
+                feature_dtype=store.feature_dtype,
+                metrics=metrics,
+            )
+        if executor == "pipelined":
+            stages = [
+                PrepareStage(
+                    sampler_factory, store, pinned_pool=pool, workers=num_workers
+                )
+            ]
+        else:
+            stages = [
+                SampleStage(sampler_factory, workers=num_workers),
+                SliceStage(store, pinned_pool=pool),
+            ]
+    if pool is not None and probes is not None:
+        pool.register_probes(probes)
+    if device is not None:
+        stages.append(TransferStage(device))
+    stages.append(ComputeStage(name=compute))
+    return StagedPipeline(
+        stages,
+        prefetch_depth=0 if executor == "serial" else PREFETCH_DEPTH,
+        seed=seed,
+        rng_entries=rng_entries,
+        tracer=tracer,
+        metrics=metrics,
+        probes=probes,
+    )

@@ -361,7 +361,6 @@ class SharedSlotPool(PinnedBufferPool):
         mfg_capacity: int,
         max_layers: int,
         feature_dtype=np.float16,
-        counters=None,
         metrics=None,
     ) -> None:
         if num_slots < 1:
@@ -380,7 +379,6 @@ class SharedSlotPool(PinnedBufferPool):
             num_features,
             max_batch,
             feature_dtype=feature_dtype,
-            counters=counters,
             metrics=metrics,
         )
 

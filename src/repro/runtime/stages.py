@@ -9,15 +9,25 @@ queues with backpressure, sharing one lifecycle (start / drain / close),
 deterministic per-batch seeding, and first-class error propagation +
 cancellation.
 
-Every execution path in the repository runs on this engine:
+Every execution path in the repository runs on this engine.  Training
+and sampled inference get theirs from
+:func:`~repro.runtime.pipeline.build_pipeline`, which maps an executor
+name to a stage list and prefetch depth:
 
-- ``SerialExecutor``   = depth-0 policy (all stages inline on the caller);
-- ``PipelinedExecutor``= fused :class:`PrepareStage` + depth-N prefetch;
-- ``StagedExecutor``   = split :class:`SampleStage` → :class:`SliceStage`
+- ``"serial"``       = depth-0 policy (all stages inline on the caller);
+- ``"pipelined"``    = fused :class:`PrepareStage` + depth-N prefetch;
+- ``"staged"``       = split :class:`SampleStage` → :class:`SliceStage`
   dataflow, each stage with its own workers;
-- ``DDPTrainer``       = one prepare pipeline per replica, compute driven
-  externally under the all-reduce barrier (:meth:`StagedPipeline.start`);
-- ``train.inference``  = the same pipelines with an inference compute stage.
+- ``"multiprocess"`` = the prepare stage fanned out to worker processes
+  (:class:`~repro.runtime.mp_prepare.MPPrepareStage`).
+
+``DDPTrainer`` runs one prepare pipeline per replica, with compute driven
+externally under the all-reduce barrier (:meth:`StagedPipeline.start`).
+
+Telemetry: every stage counts into the pipeline's one
+:class:`~repro.telemetry.MetricsRegistry` (``ctx.metrics``) — busy-time
+histograms, queue depths, and counters such as ``pipeline_batches``,
+``pipeline_cancelled`` and ``pool_overflow_batches``.
 
 Determinism: batch ``index`` alone decides the RNG stream (``rng_entries``
 policy), and completed batches are delivered to the compute stage in index
@@ -50,7 +60,7 @@ from ..slicing.slicer import (
     slice_batch_reference,
 )
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device, DeviceBatch, StreamEvent
@@ -273,7 +283,6 @@ class PipelineContext:
     """Shared services threaded uniformly through every stage."""
 
     tracer: Tracer
-    counters: Counters
     seed: int
     #: pipeline-lifetime metric registry (per-epoch registries merge in)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -340,9 +349,6 @@ class SampleStage(Stage):
 
     def make_state(self, worker_id: int):
         sampler = self.sampler_factory()
-        attach = getattr(sampler, "attach_counters", None)
-        if attach is not None:
-            attach(self.ctx.counters)
         attach_metrics = getattr(sampler, "attach_metrics", None)
         if attach_metrics is not None:
             attach_metrics(self.ctx.metrics)
@@ -357,7 +363,7 @@ class SliceStage(Stage):
     """Feature/label slicing into (optionally pinned) staging memory.
 
     ``reference=True`` keeps the baseline's double-copy semantics
-    (Section 4.2's multiprocessing analogue) — the SerialExecutor policy;
+    (Section 4.2's multiprocessing analogue) — the serial training policy;
     otherwise the fused single-gather path is used, writing straight into a
     pinned slot when the batch fits the pool.
 
@@ -403,17 +409,13 @@ class SliceStage(Stage):
                         xs_out=buffer.features,
                         ys_out=buffer.labels,
                         pinned_slot=buffer.slot,
-                        counters=self.ctx.counters,
                         metrics=self.ctx.metrics,
                     )
                 else:
                     if pool is not None:
-                        self.ctx.counters.inc("pool_overflow_batches")
+                        self.ctx.metrics.counter("pool_overflow_batches").inc()
                     env.sliced = slice_batch_fused(
-                        self.store,
-                        mfg,
-                        counters=self.ctx.counters,
-                        metrics=self.ctx.metrics,
+                        self.store, mfg, metrics=self.ctx.metrics
                     )
         with _timed_span(self.ctx, env, "plan_build", resource):
             build_aggregation_plans(env.mfg, metrics=self.ctx.metrics)
@@ -546,7 +548,6 @@ class StagedPipeline:
         seed: int = 0,
         rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
         tracer: Optional[Tracer] = None,
-        counters: Optional[Counters] = None,
         metrics: Optional[MetricsRegistry] = None,
         probes: Optional[ProbeSampler] = None,
     ) -> None:
@@ -559,7 +560,6 @@ class StagedPipeline:
         self.rng_entries = rng_entries or (lambda index: [seed, index])
         self.ctx = PipelineContext(
             tracer=tracer or Tracer(enabled=False),
-            counters=counters if counters is not None else Counters(),
             seed=seed,
             metrics=metrics if metrics is not None else MetricsRegistry(),
             probes=probes if probes is not None and probes.enabled else None,
@@ -599,7 +599,7 @@ class StagedPipeline:
     def _abandon(self, env: Envelope) -> None:
         for stage in self.worker_stages:
             stage.abandon(env)
-        self.ctx.counters.inc("pipeline_abandoned_batches")
+        self.ctx.metrics.counter("pipeline_abandoned_batches").inc()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -703,7 +703,7 @@ class StagedPipeline:
             stats.losses.append(float(env.output))
         if on_result is not None:
             on_result(env)
-        self.ctx.counters.inc("pipeline_batches")
+        self.ctx.metrics.counter("pipeline_batches").inc()
 
 
 class _InlineRun:
@@ -901,7 +901,7 @@ class _OverlappedRun:
         with self._lock:
             if self.error is None:
                 self.error = error
-        self.pipeline.ctx.counters.inc("pipeline_stage_errors")
+        self.pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
         self.cancel()
 
     # ------------------------------------------------------------------
@@ -975,7 +975,7 @@ class _OverlappedRun:
             env = self.input_queue.get()
             if env is None:
                 break
-        self.pipeline.ctx.counters.inc("pipeline_cancelled")
+        self.pipeline.ctx.metrics.counter("pipeline_cancelled").inc()
 
     def close(self) -> None:
         """Cancel, then reclaim every leftover envelope's resources."""

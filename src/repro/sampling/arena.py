@@ -9,8 +9,8 @@ This module is the numpy translation of that discipline:
   ``bool`` buffers with a shared iota (``arange``) cache.  A buffer is
   allocated (or doubled) only when a hop needs more capacity than any
   previous hop did; after warm-up the arena performs **zero** allocations
-  per batch, which the attached :class:`~repro.telemetry.Counters` can
-  prove (``arena_grow_count`` stays flat).
+  per batch, which the attached :class:`~repro.telemetry.MetricsRegistry`
+  can prove (the ``arena_grows`` counter stays flat).
 - :func:`gather_frontier_edges` — candidate-edge gather (CSR rows of the
   frontier) built from in-place cumsum/fill kernels instead of fresh
   ``np.repeat``/``np.arange`` arrays.
@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 
 __all__ = [
     "SamplerArena",
@@ -70,20 +70,11 @@ class SamplerArena:
     the same name; kernels request each name at most once per hop.
     """
 
-    def __init__(
-        self,
-        counters: Optional[Counters] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._buffers: dict[str, np.ndarray] = {}
         self._iota: Optional[np.ndarray] = None
-        self.counters = counters if counters is not None else Counters()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.grow_count = 0
-
-    def attach_counters(self, counters: Counters) -> None:
-        """Redirect telemetry to a shared (e.g. per-pool) counter set."""
-        self.counters = counters
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
         """Redirect metric observations to a shared registry."""
@@ -91,9 +82,8 @@ class SamplerArena:
 
     def _record_grow(self, nbytes: int) -> None:
         self.grow_count += 1
-        self.counters.inc("arena_grow_count")
-        self.counters.inc("arena_grow_bytes", nbytes)
         self.metrics.counter("arena_grows").inc()
+        self.metrics.counter("arena_grow_bytes").inc(nbytes)
         self.metrics.gauge("arena_bytes").set(float(self.nbytes()))
 
     def request(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
@@ -237,12 +227,12 @@ def expand_frontier_arena(
     edge whenever any segment exceeds the fanout), so both produce
     identical selections for a shared generator.
     """
-    counters = arena.counters
+    metrics = arena.metrics
     src_global, dst_local, degrees, total = gather_frontier_edges(
         graph, frontier, arena
     )
     if fanout is None or total == 0 or int(degrees.max()) <= fanout:
-        counters.inc("sampler_edges_copy_path", total)
+        metrics.counter("sampler_edges_copy_path").inc(total)
         return src_global, dst_local
 
     keys = arena.request("keys", total, np.float64)
@@ -260,7 +250,7 @@ def expand_frontier_arena(
     if n_over >= SORT_FALLBACK_FRACTION * total:
         # Nearly everything needs sorting: fall back to one whole-array sort
         # (the pre-arena shape, minus the lexsort).  Identical output.
-        counters.inc("sampler_edges_sort_path", total)
+        metrics.counter("sampler_edges_sort_path").inc(total)
         keep[:] = False
         order = np.argsort(composite, kind="stable")
         seg_starts = arena.request("seg_starts_sorted", len(degrees))
@@ -282,8 +272,8 @@ def expand_frontier_arena(
     else:
         # Split path: under-degree segments copy through verbatim; only the
         # over-degree remainder is sorted.
-        counters.inc("sampler_edges_sort_path", n_over)
-        counters.inc("sampler_edges_copy_path", total - n_over)
+        metrics.counter("sampler_edges_sort_path").inc(n_over)
+        metrics.counter("sampler_edges_copy_path").inc(total - n_over)
         np.logical_not(over_edge, out=keep)
         if n_over:
             over_idx = arena.request("over_idx", n_over)

@@ -38,7 +38,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..telemetry import Counters
 from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
 from .base import NeighborSamplerBase
 from .mfg import MFG, Adj
@@ -73,22 +72,15 @@ class FastNeighborSampler(NeighborSamplerBase):
         graph: CSRGraph,
         fanouts: Sequence[Optional[int]],
         arena: Optional[SamplerArena] = None,
-        counters: Optional[Counters] = None,
     ) -> None:
         super().__init__(graph, fanouts)
         # Persistent array ID map (design point 1). Reset lazily per batch.
         self._local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-        self.counters = counters if counters is not None else Counters()
-        self.arena = arena if arena is not None else SamplerArena(self.counters)
-        self.arena.attach_counters(self.counters)
-
-    def attach_counters(self, counters: Counters) -> None:
-        """Redirect telemetry (e.g. to a batch-preparation pool's counters)."""
-        self.counters = counters
-        self.arena.attach_counters(counters)
+        self.arena = arena if arena is not None else SamplerArena()
 
     def attach_metrics(self, metrics) -> None:
-        """Redirect arena metric observations to a shared registry."""
+        """Redirect sampler and arena telemetry (e.g. to a pipeline's
+        registry)."""
         self.arena.attach_metrics(metrics)
 
     def sample(self, batch_nodes: np.ndarray, rng: np.random.Generator) -> MFG:
@@ -116,7 +108,7 @@ class FastNeighborSampler(NeighborSamplerBase):
             for arr in touched:
                 local_of[arr] = -1
         adjs.reverse()
-        self.counters.inc("sampler_batches")
+        self.arena.metrics.counter("sampler_batches").inc()
         return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
 
     def _sample_hops(

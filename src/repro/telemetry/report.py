@@ -9,8 +9,8 @@ validated document capturing
 - the environment it ran in (python/numpy versions, platform, cpu count);
 - per-epoch :class:`~repro.runtime.stages.EpochStats` rows (times, batch
   counts, bytes moved, loss trajectory, the Table-1 breakdown fractions);
-- a full :class:`~repro.telemetry.metrics.MetricsRegistry` snapshot and the
-  legacy integer :class:`~repro.telemetry.counters.Counters`;
+- a full :class:`~repro.telemetry.metrics.MetricsRegistry` snapshot, plus
+  its unlabelled counters flattened to ``{name: value}`` (``counters``);
 - optional evaluation results (val/test accuracy).
 
 ``benchmarks/check_bench_json.py`` registers the ``run_report`` schema next
@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .counters import Counters
 from .metrics import MetricsRegistry
 
 __all__ = ["RunReport", "collect_environment", "REPORT_SCHEMA_VERSION"]
@@ -91,9 +90,7 @@ class RunReport:
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         self.metrics = registry.snapshot()
-
-    def attach_counters(self, counters: Counters) -> None:
-        self.counters = dict(counters.snapshot())
+        self.counters = registry.counter_values()
 
     def attach_probes(self, sampler) -> None:
         """Fold a :class:`~repro.telemetry.monitor.ProbeSampler`'s ring

@@ -31,22 +31,13 @@ from ..graph.csr import CSRGraph
 from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
 from ..runtime.device import Device, DeviceBatch
-from ..runtime.pinned import PinnedBufferPool
-from ..runtime.stages import (
-    ComputeStage,
-    PrepareStage,
-    SampleStage,
-    SliceStage,
-    StagedPipeline,
-    TransferStage,
-)
+from ..runtime.pipeline import build_pipeline
 from ..telemetry.tracer import Tracer
-from ..runtime.workers import estimate_max_rows
 from ..sampling.base import BatchIterator, NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
 from ..tensor import Tensor, functional as F, no_grad
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 
 __all__ = ["sampled_inference", "layerwise_full_inference", "LayerwiseResult"]
 
@@ -63,17 +54,15 @@ def sampled_inference(
     executor: str = "serial",
     device: Optional[Device] = None,
     num_workers: int = 2,
-    prefetch_depth: int = 4,
-    pinned_slots: int = 4,
     tracer: Optional[Tracer] = None,
-    counters: Optional[Counters] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> np.ndarray:
     """Predict log-probabilities for ``nodes`` with one-shot sampling.
 
     Reuses the training code path (model.forward over sampled MFGs), the
     simplification benefit Section 5 emphasizes — and, like training, it
-    runs on the staged-pipeline runtime:
+    runs on the pipeline :func:`~repro.runtime.pipeline.build_pipeline`
+    builds for ``executor``:
 
     - ``executor="serial"`` — depth-0 policy, every stage inline (the
       conventional inference loop);
@@ -107,34 +96,6 @@ def sampled_inference(
     else:
         factory = lambda: FastNeighborSampler(graph, list(fanouts))  # noqa: E731
 
-    overlapped = executor != "serial"
-    pinned_pool = None
-    shared_counters = counters if counters is not None else Counters()
-    shared_metrics = metrics if metrics is not None else MetricsRegistry()
-    if device is not None and overlapped:
-        max_rows = estimate_max_rows(factory().fanouts, batch_size, store.num_nodes)
-        pinned_pool = PinnedBufferPool(
-            num_slots=pinned_slots,
-            max_rows=max_rows,
-            num_features=store.num_features,
-            max_batch=batch_size,
-            feature_dtype=store.feature_dtype,
-            counters=shared_counters,
-            metrics=shared_metrics,
-        )
-
-    stages: list = []
-    if executor == "pipelined":
-        stages.append(
-            PrepareStage(factory, store, pinned_pool=pinned_pool, workers=num_workers)
-        )
-    else:
-        stages.append(SampleStage(factory, workers=num_workers))
-        stages.append(SliceStage(store, pinned_pool=pinned_pool))
-    if device is not None:
-        stages.append(TransferStage(device))
-    stages.append(ComputeStage(name="infer"))
-
     def infer_fn(payload) -> np.ndarray:
         if isinstance(payload, DeviceBatch):
             xs, mfg = payload.xs.data, payload.mfg
@@ -153,16 +114,21 @@ def sampled_inference(
         start = env.index * batch_size
         out[start : start + len(env.nodes)] = log_probs
 
-    pipeline = StagedPipeline(
-        stages,
-        prefetch_depth=prefetch_depth if overlapped else 0,
+    pipeline = build_pipeline(
+        executor,
+        factory,
+        fanouts,
+        store,
+        device,
+        compute="infer",
+        num_workers=num_workers,
+        max_batch=batch_size,
         seed=seed,
         # The batch's node offset (not its index) keys the RNG stream,
         # preserving the historical cursor-based seeding.
         rng_entries=lambda index: [seed, index * batch_size],
         tracer=tracer,
-        counters=shared_counters,
-        metrics=shared_metrics,
+        metrics=metrics,
     )
     batches = list(BatchIterator(nodes, batch_size, shuffle=False))
     with no_grad():
@@ -192,7 +158,7 @@ def _propagate_full(
 
     The single-hop full-fanout sampler produces exact (unsampled) bipartite
     blocks, so this is the conventional layer-wise inference kernel.  Runs
-    on the depth-0 staged pipeline like every other execution path (full
+    on the serial pipeline like every other execution path (full
     fanout draws nothing from the RNG, so seeding is irrelevant here).
 
     The slice stage builds each block's aggregation plan and
@@ -216,13 +182,12 @@ def _propagate_full(
             h_out = np.empty((graph.num_nodes, out.shape[1]), dtype=np.float32)
         h_out[env.nodes] = out
 
-    pipeline = StagedPipeline(
-        [
-            SampleStage(lambda: FastNeighborSampler(graph, [None])),
-            SliceStage(store),
-            ComputeStage(name="infer"),
-        ],
-        prefetch_depth=0,
+    pipeline = build_pipeline(
+        "serial",
+        lambda: FastNeighborSampler(graph, [None]),
+        [None],
+        store,
+        compute="infer",
     )
     batches = list(
         BatchIterator(np.arange(graph.num_nodes), batch_size, shuffle=False)

@@ -1,12 +1,14 @@
-"""End-to-end training driver wiring datasets, samplers, executors, models.
+"""Training entry point wiring datasets, samplers, pipelines and models.
 
-``Trainer`` is the single-GPU workflow of Listing 1 / Figure 1 with either
-executor backend; ``repro.train.ddp`` scales it to multiple simulated GPUs.
+``Trainer`` is the single-GPU workflow of Listing 1 / Figure 1 under any
+executor policy of :func:`~repro.runtime.pipeline.build_pipeline`;
+``repro.train.ddp`` scales it to multiple simulated GPUs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,19 +19,15 @@ from ..nn.module import Module
 from ..nn.optim import Adam, Optimizer
 from ..runtime.device import Device, DeviceBatch
 from ..runtime.mp_prepare import MultiprocessExecutor
-from ..runtime.pipeline import (
-    EpochStats,
-    PipelinedExecutor,
-    SerialExecutor,
-    StagedExecutor,
-)
+from ..runtime.pipeline import EXECUTORS, build_pipeline
+from ..runtime.stages import EpochStats
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator, NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..sampling.pyg_sampler import PyGNeighborSampler
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry, RunReport
+from ..telemetry import MetricsRegistry, RunReport
 from ..tensor import Tensor, Workspace, functional as F, workspace_scope
 from .config import ExperimentConfig
 from .inference import sampled_inference
@@ -112,7 +110,7 @@ class Trainer:
         hot_rows: Optional[int] = None,
         slab_dir=None,
     ) -> None:
-        if executor not in ("serial", "pipelined", "staged", "multiprocess"):
+        if executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}")
         if sampler not in ("fast", "pyg"):
             raise ValueError(f"unknown sampler {sampler!r}")
@@ -151,58 +149,49 @@ class Trainer:
             self.model.parameters(), lr=config.lr, weight_decay=config.weight_decay
         )
 
+        self.executor = executor
+        self.sampler = sampler
         sampler_cls = FastNeighborSampler if sampler == "fast" else PyGNeighborSampler
         fanouts = list(config.train_fanouts)
-        self._sampler_factory = lambda: sampler_cls(dataset.graph, fanouts)
-
-        if executor == "serial":
-            self._executor = SerialExecutor(
-                sampler=self._sampler_factory(),
-                store=self.store,
-                device=self.device,
-                tracer=self.tracer,
-                seed=seed,
-                probes=self.probes,
-            )
-        elif executor == "multiprocess":
-            self._executor = MultiprocessExecutor(
-                graph=dataset.graph,
-                store=self.store,
-                device=self.device,
-                fanouts=fanouts,
-                num_workers=prepare_workers or num_workers,
+        # Multiprocess prepare stages into shared memory this trainer owns
+        # (closed by :meth:`shutdown`).
+        self._shared = (
+            MultiprocessExecutor(
+                dataset.graph,
+                self.store,
+                fanouts,
+                num_workers=self.prepare_workers,
                 sampler=sampler,
                 max_batch_hint=config.batch_size,
-                tracer=self.tracer,
-                seed=seed,
-                probes=self.probes,
                 start_method=mp_start_method,
             )
-        else:
-            executor_cls = (
-                PipelinedExecutor if executor == "pipelined" else StagedExecutor
-            )
-            self._executor = executor_cls(
-                sampler_factory=self._sampler_factory,
-                store=self.store,
-                device=self.device,
-                num_workers=num_workers,
-                max_batch_hint=config.batch_size,
-                tracer=self.tracer,
-                seed=seed,
-                probes=self.probes,
-            )
+            if executor == "multiprocess"
+            else None
+        )
+        self._pipeline = build_pipeline(
+            executor,
+            lambda: sampler_cls(dataset.graph, fanouts),
+            fanouts,
+            self.store,
+            self.device,
+            num_workers=num_workers,
+            max_batch=config.batch_size,
+            seed=seed,
+            tracer=self.tracer,
+            probes=self.probes,
+            shared=self._shared,
+        )
         # One pool per trainer, shared across batches/epochs; counters land
-        # in the executor's cumulative registry.
-        self._workspace = Workspace(metrics=self._executor.metrics)
+        # in the pipeline's cumulative registry.
+        self._workspace = Workspace(metrics=self.metrics)
         if self.probes is not None:
             self._workspace.register_probes(self.probes)
         # Tiered stores report hit/miss/bytes and mmap-wait into the
-        # executor's registry (so EpochStats attribution sees them) and
+        # pipeline's registry (so EpochStats attribution sees them) and
         # expose tier-health probes to the monitor.
         attach = getattr(self.store, "attach_metrics", None)
         if attach is not None:
-            attach(self._executor.metrics)
+            attach(self.metrics)
         if self.probes is not None and hasattr(self.store, "register_probes"):
             self.store.register_probes(self.probes)
 
@@ -274,16 +263,20 @@ class Trainer:
         )
 
     def train_epoch(self, epoch: int = 0) -> EpochStats:
-        return self._executor.run_epoch(self.epoch_batches(epoch), self._train_fn())
+        return self._pipeline.run_epoch(self.epoch_batches(epoch), self._train_fn())
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The executor's cumulative metric registry (all epochs merged)."""
-        return self._executor.metrics
+        """The pipeline's cumulative metric registry (all epochs merged)."""
+        return self._pipeline.ctx.metrics
 
     @property
-    def counters(self) -> Counters:
-        return self._executor.counters
+    def counters(self) -> SimpleNamespace:
+        """Read-only view of :attr:`metrics`' unlabelled counters:
+        ``counters.snapshot()`` is ``{name: value}``.  Kept for callers
+        that read the flat counter ledger through this seam (the
+        ``perfbench`` harness reads its ``mp_*_overflow_batches``)."""
+        return SimpleNamespace(snapshot=self.metrics.counter_values)
 
     def build_report(self, result: TrainResult, command: str = "train") -> RunReport:
         """A :class:`RunReport` document for a finished :meth:`fit` run."""
@@ -293,8 +286,8 @@ class Trainer:
             command=command,
             config={
                 **asdict(self.config),
-                "executor": type(self._executor).__name__,
-                "sampler": type(self._sampler_factory()).__name__,
+                "executor": self.executor,
+                "sampler": self.sampler,
                 "num_workers": self.num_workers,
                 "prepare_workers": self.prepare_workers,
                 "seed": self.seed,
@@ -306,7 +299,6 @@ class Trainer:
         if result.val_accuracy:
             report.add_evaluation("val", result.val_accuracy[-1])
         report.attach_metrics(self.metrics)
-        report.attach_counters(self.counters)
         report.attach_probes(self.probes)
         return report
 
@@ -438,9 +430,8 @@ class Trainer:
             self.optimizer.load_state_dict({"lr": float(archive["optimizer/lr"])})
 
     def shutdown(self) -> None:
-        close = getattr(self._executor, "close", None)
-        if close is not None:  # multiprocess: stop workers, free shm segments
-            close()
+        if self._shared is not None:  # multiprocess: stop workers, free shm
+            self._shared.close()
         self.device.shutdown()
         if self._slab_tmpdir is not None:  # trainer-owned slab scratch dir
             self._slab_tmpdir.cleanup()

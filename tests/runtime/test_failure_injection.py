@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    BatchPreparationPool,
+    ComputeStage,
     Device,
-    PipelinedExecutor,
-    QueueClosed,
-    SerialExecutor,
+    PinnedBufferPool,
+    PrepareStage,
+    StagedPipeline,
+    StageError,
+    TransferStage,
+    build_pipeline,
+    estimate_max_rows,
 )
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
@@ -39,30 +43,32 @@ def _batches(dataset, count=6, size=16):
 
 class TestWorkerPoolFailures:
     def test_worker_error_propagates_via_join(self, small_products):
+        """A prepare worker's exception surfaces at the consumer once the
+        run drains, after the batches prepared before it were delivered."""
         store = FeatureStore(small_products.features, small_products.labels)
-        pool = BatchPreparationPool(
-            lambda: ExplodingSampler(small_products.graph, [5, 3], explode_after=2),
-            store,
-            num_workers=1,
+        pipeline = StagedPipeline(
+            [
+                PrepareStage(
+                    lambda: ExplodingSampler(
+                        small_products.graph, [5, 3], explode_after=2
+                    ),
+                    store,
+                )
+            ],
+            prefetch_depth=4,
         )
-        queue, join = pool.run(_batches(small_products))
+        run = pipeline.start(_batches(small_products))
         drained = 0
-        with pytest.raises((QueueClosed, RuntimeError)):
-            while True:
-                queue.get(timeout=5)
+        with pytest.raises(StageError, match="exploded"):
+            while run.next_envelope() is not None:
                 drained += 1
         assert drained == 2
-        with pytest.raises(RuntimeError, match="exploded"):
-            join()
 
     def test_serial_executor_error_is_immediate(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = SerialExecutor(
-            ExplodingSampler(small_products.graph, [5, 3], explode_after=1),
-            store,
-            device,
-        )
+        sampler = ExplodingSampler(small_products.graph, [5, 3], explode_after=1)
+        executor = build_pipeline("serial", lambda: sampler, [5, 3], store, device)
         with pytest.raises(RuntimeError, match="exploded"):
             executor.run_epoch(_batches(small_products), lambda b: 0.0)
         device.shutdown()
@@ -70,12 +76,14 @@ class TestWorkerPoolFailures:
     def test_train_fn_error_propagates_from_pipeline(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            [5, 3],
             store,
             device,
             num_workers=1,
-            max_batch_hint=16,
+            max_batch=16,
         )
 
         calls = []
@@ -96,13 +104,24 @@ class TestWorkerPoolFailures:
         same executor can run a clean epoch."""
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
-            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
-            store,
-            device,
-            num_workers=2,
-            pinned_slots=2,
-            max_batch_hint=16,
+        pool = PinnedBufferPool(
+            2,
+            max_rows=estimate_max_rows([5, 3], 16, small_products.num_nodes),
+            num_features=store.num_features,
+            max_batch=16,
+        )
+        executor = StagedPipeline(
+            [
+                PrepareStage(
+                    lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+                    store,
+                    pinned_pool=pool,
+                    workers=2,
+                ),
+                TransferStage(device),
+                ComputeStage(),
+            ],
+            prefetch_depth=4,
         )
 
         def failing(batch):
@@ -112,7 +131,7 @@ class TestWorkerPoolFailures:
             executor.run_epoch(_batches(small_products), failing)
         # workers from the failed epoch drain away; buffers come back
         for _ in range(100):
-            if executor.pinned_pool.free_slots() == executor.pinned_pool.total_slots:
+            if pool.free_slots() == pool.total_slots:
                 break
             import time
 

@@ -3,9 +3,10 @@
 The tiered feature store (ISSUE 10) swaps where feature bytes live — RAM,
 an on-disk memmap slab, or uint8 codes — behind the same slicing contract.
 These tests pin the guarantee the BENCH_feature_tier parity section
-records: per seed, ram and mmap produce byte-identical loss traces on the
-serial *and* multiprocess executors, quantized drift stays bounded, and
-worker processes reopen the slab read-only without copy-on-write growth.
+records: per seed, ram and mmap produce byte-identical loss traces under
+every thread policy (``serial``, the default ``pipelined``, ``staged``)
+and the multiprocess executor, quantized drift stays bounded, and worker
+processes reopen the slab read-only without copy-on-write growth.
 """
 
 import numpy as np
@@ -49,10 +50,11 @@ def ram_losses(tiny_dataset, tmp_path_factory):
 
 
 class TestTrainingParity:
-    def test_mmap_matches_ram_bitwise_serial(
-        self, tiny_dataset, tmp_path, ram_losses
-    ):
-        assert _losses(tiny_dataset, tmp_path, feature_tier="mmap") == ram_losses
+    @pytest.mark.parametrize("executor", ["serial", "pipelined", "staged"])
+    def test_mmap_matches_ram_bitwise(self, tiny_dataset, tmp_path, executor):
+        ram = _losses(tiny_dataset, tmp_path, executor=executor)
+        mmap = _losses(tiny_dataset, tmp_path, feature_tier="mmap", executor=executor)
+        assert mmap == ram
 
     def test_tiered_hot_rows_do_not_change_losses(
         self, tiny_dataset, tmp_path, ram_losses

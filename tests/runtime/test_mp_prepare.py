@@ -20,9 +20,10 @@ from repro.nn import Adam
 from repro.runtime import (
     Device,
     MultiprocessExecutor,
-    SerialExecutor,
     StageError,
     WorkerCrashed,
+    build_pipeline,
+    estimate_max_rows,
 )
 from repro.runtime.mp_prepare import MultiprocessPreparePool, estimate_mfg_capacity
 from repro.runtime.shm import mfg_ints_needed
@@ -66,26 +67,45 @@ def make_train_fn(dataset, seed=4):
 def serial_losses(setup, seed=9):
     dataset, store, batches = setup
     device = Device()
-    executor = SerialExecutor(
-        FastNeighborSampler(dataset.graph, FANOUTS), store, device, seed=seed
+    executor = build_pipeline(
+        "serial",
+        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+        FANOUTS,
+        store,
+        device,
+        seed=seed,
     )
     stats = executor.run_epoch(batches, make_train_fn(dataset))
     device.shutdown()
     return stats.losses
 
 
+class MPRun:
+    """The ``"multiprocess"`` pipeline plus the shared-memory owner it
+    runs over: ``run_epoch``/``metrics`` come from the pipeline,
+    ``pinned_pool``/``client``/``close`` from the owner."""
+
+    def __init__(self, shared, pipeline):
+        self.shared, self.pipeline = shared, pipeline
+        self.pinned_pool, self.client = shared.pinned_pool, shared.client
+        self.metrics = pipeline.ctx.metrics
+        self.run_epoch, self.close = pipeline.run_epoch, shared.close
+
+
 def mp_executor(setup, **kwargs):
     dataset, store, _ = setup
     device = Device()
     defaults = dict(
-        fanouts=FANOUTS,
         num_workers=2,
         max_batch_hint=32,
-        seed=9,
         start_method="fork",  # spawn is exercised separately; fork is fast
     )
     defaults.update(kwargs)
-    return MultiprocessExecutor(dataset.graph, store, device, **defaults), device
+    shared = MultiprocessExecutor(dataset.graph, store, FANOUTS, **defaults)
+    pipeline = build_pipeline(
+        "multiprocess", None, FANOUTS, store, device, seed=9, shared=shared
+    )
+    return MPRun(shared, pipeline), device
 
 
 class TestDeterminism:
@@ -131,7 +151,7 @@ class TestDeterminism:
         executor, device = mp_executor(setup, max_rows_hint=8)
         try:
             stats = executor.run_epoch(setup[2], make_train_fn(setup[0]))
-            assert executor.counters["mp_slot_overflow_batches"] > 0
+            assert executor.metrics.value("mp_slot_overflow_batches") > 0
         finally:
             executor.close()
             device.shutdown()
@@ -226,8 +246,6 @@ class TestCapacityBound:
     def test_bound_covers_sampled_batches(self, setup):
         dataset, _, batches = setup
         sampler = FastNeighborSampler(dataset.graph, FANOUTS)
-        from repro.runtime.workers import estimate_max_rows
-
         max_rows = estimate_max_rows(FANOUTS, 32, dataset.num_nodes)
         capacity = estimate_mfg_capacity(dataset.graph, FANOUTS, 32, max_rows)
         for i, nodes in enumerate(batches):

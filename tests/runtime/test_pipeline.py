@@ -1,4 +1,4 @@
-"""Executors: serial-vs-pipelined equivalence and stats accounting."""
+"""Executor policies: serial-vs-pipelined equivalence and stats accounting."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,15 @@ from repro.datasets import generate_dataset
 from repro.models import GraphSAGE
 from repro.nn import Adam
 from repro.runtime import (
+    ComputeStage,
     Device,
-    PipelinedExecutor,
-    SerialExecutor,
+    PinnedBufferPool,
+    PrepareStage,
+    StagedPipeline,
     Tracer,
+    TransferStage,
+    build_pipeline,
+    estimate_max_rows,
     render_timeline,
 )
 from repro.sampling import FastNeighborSampler
@@ -48,13 +53,34 @@ def make_train_fn(dataset, seed=0):
     return train_fn, model
 
 
+def serial_executor(dataset, store, device, **kwargs):
+    return build_pipeline(
+        "serial",
+        lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+        [5, 3],
+        store,
+        device,
+        **kwargs,
+    )
+
+
+def pipelined_executor(dataset, store, device, **kwargs):
+    return build_pipeline(
+        "pipelined",
+        lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+        [5, 3],
+        store,
+        device,
+        max_batch=32,
+        **kwargs,
+    )
+
+
 class TestSerialExecutor:
     def test_epoch_runs_all_batches(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device, seed=0
-        )
+        executor = serial_executor(dataset, store, device)
         train_fn, _ = make_train_fn(dataset)
         stats = executor.run_epoch(batches, train_fn)
         device.shutdown()
@@ -68,9 +94,7 @@ class TestSerialExecutor:
     def test_breakdown_fractions_sum_below_one(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device, seed=0
-        )
+        executor = serial_executor(dataset, store, device)
         train_fn, _ = make_train_fn(dataset)
         stats = executor.run_epoch(batches, train_fn)
         device.shutdown()
@@ -80,9 +104,7 @@ class TestSerialExecutor:
     def test_bytes_transferred_reset_per_epoch(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device, seed=0
-        )
+        executor = serial_executor(dataset, store, device)
         train_fn, _ = make_train_fn(dataset)
         s1 = executor.run_epoch(batches, train_fn)
         s2 = executor.run_epoch(batches, train_fn)
@@ -97,21 +119,14 @@ class TestPipelinedExecutor:
         dataset, store, batches = setup
 
         device_a = Device()
-        serial = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device_a, seed=9
-        )
+        serial = serial_executor(dataset, store, device_a, seed=9)
         fn_a, model_a = make_train_fn(dataset, seed=4)
         stats_a = serial.run_epoch(batches, fn_a)
         device_a.shutdown()
 
         device_b = Device()
-        pipelined = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device_b,
-            num_workers=1,
-            max_batch_hint=32,
-            seed=9,
+        pipelined = pipelined_executor(
+            dataset, store, device_b, num_workers=1, seed=9
         )
         fn_b, model_b = make_train_fn(dataset, seed=4)
         stats_b = pipelined.run_epoch(batches, fn_b)
@@ -127,14 +142,7 @@ class TestPipelinedExecutor:
     def test_multi_worker_processes_all_batches(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device,
-            num_workers=3,
-            max_batch_hint=32,
-            seed=0,
-        )
+        executor = pipelined_executor(dataset, store, device, num_workers=3)
         train_fn, _ = make_train_fn(dataset)
         stats = executor.run_epoch(batches, train_fn)
         device.shutdown()
@@ -143,34 +151,36 @@ class TestPipelinedExecutor:
     def test_pinned_buffers_recycled_across_epochs(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device,
-            num_workers=2,
-            pinned_slots=2,
-            max_batch_hint=32,
-            seed=0,
+        pool = PinnedBufferPool(
+            2,
+            max_rows=estimate_max_rows([5, 3], 32, dataset.num_nodes),
+            num_features=store.num_features,
+            max_batch=32,
+        )
+        executor = StagedPipeline(
+            [
+                PrepareStage(
+                    lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+                    store,
+                    pinned_pool=pool,
+                    workers=2,
+                ),
+                TransferStage(device),
+                ComputeStage(),
+            ],
+            prefetch_depth=4,
         )
         train_fn, _ = make_train_fn(dataset)
         for _ in range(3):
             executor.run_epoch(batches, train_fn)
         device.shutdown()
-        assert executor.pinned_pool.free_slots() == executor.pinned_pool.total_slots
+        assert pool.free_slots() == pool.total_slots
 
     def test_trace_records_all_stages(self, setup):
         dataset, store, batches = setup
         tracer = Tracer()
         device = Device()
-        executor = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device,
-            num_workers=2,
-            max_batch_hint=32,
-            tracer=tracer,
-            seed=0,
-        )
+        executor = pipelined_executor(dataset, store, device, tracer=tracer)
         train_fn, _ = make_train_fn(dataset)
         executor.run_epoch(batches, train_fn)
         device.shutdown()
@@ -191,11 +201,10 @@ class TestPipelinedExecutor:
         # i starts", which is the only window in which i+1 could finish.
         bandwidth = 5e6
 
-        def overlapping_pairs(executor_cls, **kwargs):
+        def overlapping_pairs(make_executor, **kwargs):
             tracer = Tracer()
             device = Device(transfer_bandwidth=bandwidth)
-            executor = executor_cls(store=store, device=device, tracer=tracer,
-                                    seed=0, **kwargs)
+            executor = make_executor(dataset, store, device, tracer=tracer, **kwargs)
             fn, _ = make_train_fn(dataset)
             executor.run_epoch(batches, fn)
             device.shutdown()
@@ -207,17 +216,10 @@ class TestPipelinedExecutor:
                     pairs += 1
             return pairs
 
-        serial = overlapping_pairs(
-            SerialExecutor, sampler=FastNeighborSampler(dataset.graph, [5, 3])
-        )
+        serial = overlapping_pairs(serial_executor)
         # One prepare worker: batches arrive, and so are submitted to the
         # transfer stream, in index order (with more workers a later batch
         # may legitimately be the one in flight during compute i).
-        pipelined = overlapping_pairs(
-            PipelinedExecutor,
-            sampler_factory=lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            num_workers=1,
-            max_batch_hint=32,
-        )
+        pipelined = overlapping_pairs(pipelined_executor, num_workers=1)
         assert serial == 0
         assert pipelined == len(batches) - 1

@@ -22,14 +22,15 @@ from repro.runtime import (
     ComputeStage,
     Device,
     EpochStats,
-    PipelinedExecutor,
+    PinnedBufferPool,
     PrepareStage,
     SampleStage,
-    SerialExecutor,
     SliceStage,
-    StagedExecutor,
     StagedPipeline,
     StageError,
+    TransferStage,
+    build_pipeline,
+    estimate_max_rows,
 )
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
@@ -143,12 +144,13 @@ class TestBreakdownAccounting:
         for (almost) the whole wall time."""
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            [5, 3],
             store,
             device,
-            num_workers=2,
-            max_batch_hint=16,
+            max_batch=16,
         )
 
         def slow_train(batch):
@@ -228,22 +230,43 @@ class TestLifecycle:
 # ----------------------------------------------------------------------
 # Satellite: exception safety
 # ----------------------------------------------------------------------
+def _two_slot_pipeline(dataset, sampler_factory, store, device, staged=True, workers=2):
+    """The staged (or pipelined) policy over a 2-slot pinned pool, so
+    backpressure engages within a few batches."""
+    pool = PinnedBufferPool(
+        2,
+        max_rows=estimate_max_rows([5, 3], 16, dataset.num_nodes),
+        num_features=store.num_features,
+        max_batch=16,
+    )
+    if staged:
+        prepare = [
+            SampleStage(sampler_factory, workers=workers),
+            SliceStage(store, pinned_pool=pool),
+        ]
+    else:
+        prepare = [PrepareStage(sampler_factory, store, pinned_pool=pool, workers=workers)]
+    pipeline = StagedPipeline(
+        prepare + [TransferStage(device), ComputeStage()],
+        prefetch_depth=4,
+        metrics=pool.metrics,
+    )
+    return pipeline, pool
+
+
 class TestErrorPropagation:
-    def _staged_executor(self, dataset, trigger, **kwargs):
+    def _staged_executor(self, dataset, trigger, num_workers):
         store = FeatureStore(dataset.features, dataset.labels)
         device = Device()
-        executor = StagedExecutor(
-            lambda: ArmedSampler(dataset.graph, [5, 3], trigger),
-            store,
-            device,
-            max_batch_hint=16,
-            **kwargs,
+        factory = lambda: ArmedSampler(dataset.graph, [5, 3], trigger)  # noqa: E731
+        executor, pool = _two_slot_pipeline(
+            dataset, factory, store, device, workers=num_workers
         )
-        return executor, device
+        return executor, pool, device
 
     def test_stage_error_names_stage_and_batch_index(self, small_products):
         trigger = {"armed": True, "remaining": 2}
-        executor, device = self._staged_executor(
+        executor, _, device = self._staged_executor(
             small_products, trigger, num_workers=1
         )
         with pytest.raises(StageError) as excinfo:
@@ -256,30 +279,28 @@ class TestErrorPropagation:
 
     def test_stage_error_releases_all_pinned_buffers(self, small_products):
         trigger = {"armed": True, "remaining": 3}
-        executor, device = self._staged_executor(
-            small_products, trigger, num_workers=2, pinned_slots=2
+        executor, pool, device = self._staged_executor(
+            small_products, trigger, num_workers=2
         )
         with pytest.raises(StageError):
             executor.run_epoch(_batches(small_products, count=8), lambda b: 0.0)
-        pool = executor.pinned_pool
         deadline = time.time() + 5
         while pool.free_slots() < pool.total_slots and time.time() < deadline:
             time.sleep(0.01)
         device.shutdown()
         assert pool.free_slots() == pool.total_slots
-        counts = executor.counters.snapshot()
+        counts = executor.ctx.metrics.counter_values()
         assert counts.get("pinned_acquires", 0) == counts.get("pinned_releases", 0)
 
     def test_compute_error_releases_all_pinned_buffers(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
+        executor, pool = _two_slot_pipeline(
+            small_products,
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
             device,
-            num_workers=2,
-            pinned_slots=2,
-            max_batch_hint=16,
+            staged=False,
         )
 
         def diverge(batch):
@@ -289,32 +310,30 @@ class TestErrorPropagation:
 
         with pytest.raises(ValueError, match="diverged"):
             executor.run_epoch(_batches(small_products, count=8), diverge)
-        pool = executor.pinned_pool
         deadline = time.time() + 5
         while pool.free_slots() < pool.total_slots and time.time() < deadline:
             time.sleep(0.01)
         device.shutdown()
         assert pool.free_slots() == pool.total_slots
-        counts = executor.counters.snapshot()
+        counts = executor.ctx.metrics.counter_values()
         assert counts.get("pinned_acquires", 0) == counts.get("pinned_releases", 0)
 
     def test_executor_reusable_after_stage_error(self, small_products):
         trigger = {"armed": True, "remaining": 2}
-        executor, device = self._staged_executor(
-            small_products, trigger, num_workers=2, pinned_slots=2
+        executor, pool, device = self._staged_executor(
+            small_products, trigger, num_workers=2
         )
         batches = _batches(small_products, count=6)
         with pytest.raises(StageError):
             executor.run_epoch(batches, lambda b: 0.0)
-        pool = executor.pinned_pool
         deadline = time.time() + 5
         while pool.free_slots() < pool.total_slots and time.time() < deadline:
             time.sleep(0.01)
         stats = executor.run_epoch(batches, lambda b: 0.0)
         device.shutdown()
         assert stats.num_batches == 6
-        assert executor.counters["pipeline_cancelled"] >= 1
-        assert executor.counters["pipeline_stage_errors"] == 1
+        assert executor.ctx.metrics.value("pipeline_cancelled") >= 1
+        assert executor.ctx.metrics.value("pipeline_stage_errors") == 1
 
 
 # ----------------------------------------------------------------------
@@ -326,20 +345,25 @@ class TestDeterminism:
         batches = _batches(small_products, count=6)
 
         device = Device()
-        serial = SerialExecutor(
-            FastNeighborSampler(small_products.graph, [5, 3]), store, device, seed=0
+        serial = build_pipeline(
+            "serial",
+            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            [5, 3],
+            store,
+            device,
         )
         serial_stats = serial.run_epoch(batches, _make_train_fn(small_products))
         device.shutdown()
 
         device = Device()
-        staged = StagedExecutor(
+        staged = build_pipeline(
+            "staged",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            [5, 3],
             store,
             device,
             num_workers=3,
-            max_batch_hint=16,
-            seed=0,
+            max_batch=16,
         )
         staged_stats = staged.run_epoch(batches, _make_train_fn(small_products))
         device.shutdown()

@@ -142,21 +142,23 @@ class TestZeroIntermediateGather:
 
 class TestSliceCounters:
     def test_fused_slice_reports_bytes_and_batches(self, store, mfg):
-        from repro.telemetry import Counters
+        from repro.telemetry import MetricsRegistry
 
-        counters = Counters()
-        batch = slice_batch_fused(store, mfg, counters=counters)
-        assert counters["slice_fused_batches"] == 1
-        assert counters["slice_bytes_gathered"] == batch.xs.nbytes + batch.ys.nbytes
-        assert counters["slice_pinned_batches"] == 0
+        metrics = MetricsRegistry()
+        batch = slice_batch_fused(store, mfg, metrics=metrics)
+        assert metrics.get("slice_rows").count == 1
+        assert metrics.value("slice_bytes", pinned="no") == (
+            batch.xs.nbytes + batch.ys.nbytes
+        )
+        assert metrics.value("slice_pinned_batches") == 0
 
     def test_pinned_slot_counted(self, store, mfg):
-        from repro.telemetry import Counters
+        from repro.telemetry import MetricsRegistry
 
-        counters = Counters()
+        metrics = MetricsRegistry()
         xs_buf = np.empty((len(mfg.n_id), store.num_features), store.feature_dtype)
         ys_buf = np.empty(mfg.batch_size, np.int64)
         slice_batch_fused(
-            store, mfg, xs_out=xs_buf, ys_out=ys_buf, pinned_slot=3, counters=counters
+            store, mfg, xs_out=xs_buf, ys_out=ys_buf, pinned_slot=3, metrics=metrics
         )
-        assert counters["slice_pinned_batches"] == 1
+        assert metrics.value("slice_pinned_batches") == 1

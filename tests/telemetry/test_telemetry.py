@@ -1,7 +1,7 @@
-"""Counters and table/bar rendering."""
+"""The registry's flat counter ledger and table/bar rendering."""
 
 from repro.telemetry import (
-    Counters,
+    MetricsRegistry,
     format_bar_chart,
     format_seconds,
     format_table,
@@ -65,50 +65,53 @@ class TestFormatting:
 
 
 class TestCounters:
+    """``MetricsRegistry.counter_values()``: the ``{name: value}`` ledger of
+    unlabelled counters that RunReport's ``counters`` object records."""
+
     def test_inc_and_default_zero(self):
-        counters = Counters()
-        assert counters["missing"] == 0
-        counters.inc("a")
-        counters.inc("a", 4)
-        assert counters["a"] == 5
-        assert "a" in counters
-        assert "missing" not in counters
+        registry = MetricsRegistry()
+        assert registry.value("missing") == 0
+        registry.counter("a").inc()
+        registry.counter("a").inc(4)
+        registry.counter("rows", outcome="hit").inc(7)  # labelled: not flat
+        assert registry.counter_values() == {"a": 5}
+        assert "missing" not in registry.counter_values()
 
     def test_snapshot_is_a_copy(self):
-        counters = Counters()
-        counters.inc("a", 2)
-        snap = counters.snapshot()
+        registry = MetricsRegistry()
+        registry.counter("a").inc(2)
+        snap = registry.counter_values()
         snap["a"] = 99
-        assert counters["a"] == 2
-        assert sorted(counters) == ["a"]
+        assert registry.value("a") == 2
+        assert sorted(registry.counter_values()) == ["a"]
 
     def test_merge_counters_and_mappings(self):
-        left, right = Counters(), Counters()
-        left.inc("a", 1)
-        right.inc("a", 2)
-        right.inc("b", 3)
+        left, right = MetricsRegistry(), MetricsRegistry()
+        left.counter("a").inc(1)
+        right.counter("a").inc(2)
+        right.counter("b").inc(3)
+        right.gauge("c").set(5)  # gauges are not counters
         left.merge(right)
-        left.merge({"b": 1, "c": 5})
-        assert left.snapshot() == {"a": 3, "b": 4, "c": 5}
+        assert left.counter_values() == {"a": 3, "b": 3}
 
     def test_reset(self):
-        counters = Counters()
-        counters.inc("a")
-        counters.reset()
-        assert counters.snapshot() == {}
+        registry = MetricsRegistry()
+        registry.counter("a").inc()
+        registry.reset()
+        assert registry.counter_values() == {}
 
     def test_thread_safety_under_contention(self):
         import threading
 
-        counters = Counters()
+        registry = MetricsRegistry()
 
         def hammer():
             for _ in range(1000):
-                counters.inc("hits")
+                registry.counter("hits").inc()
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert counters["hits"] == 8000
+        assert registry.counter_values() == {"hits": 8000}

@@ -70,3 +70,22 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "SALIENT" in out and "legend" in out
+
+    def test_report_records_chosen_executor(self, tmp_path, capsys):
+        """The report's config names the executor and sampler the user
+        chose, and its flat counters come from the trainer's registry."""
+        import json
+
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "train", "--dataset", "arxiv", "--scale", "0.1", "--epochs", "1",
+                "--batch-size", "32", "--hidden", "8", "--fanouts", "4", "3",
+                "--executor", "pipelined", "--report-out", str(report),
+            ]
+        )
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert doc["config"]["executor"] == "pipelined"
+        assert doc["config"]["sampler"] == "fast"
+        assert doc["counters"]["pipeline_batches"] == doc["totals"]["num_batches"]
